@@ -16,7 +16,7 @@
 #include "core/profiler.h"
 #include "predictors/budget.h"
 #include "predictors/gshare.h"
-#include "sim/simulator.h"
+#include "sim/frontend.h"
 #include "sim/timing.h"
 #include "workload/benchmarks.h"
 
@@ -82,30 +82,25 @@ main(int argc, char **argv)
                 const core::HashAssignment &assignment =
                     context.conditionalAssignment(spec, k);
 
+                // One engine pass: accuracy is bit-identical to the
+                // Simulator, and the HFNT on the VLP slot counts the
+                // re-predict events. Cycles stay closed-form.
                 pred::GsharePredictor gshare(k);
                 core::PathConditionalPredictor vlp(k, assignment);
-                sim::Simulator simulator;
-                simulator.addConditional(&gshare);
-                simulator.addConditional(&vlp);
-
-                // Drive the HFNT alongside to count re-predict
-                // events.
                 core::HashFunctionNumberTable hfnt(10);
+                sim::FetchEngine engine;
+                engine.addConditional(&gshare);
+                engine.addConditional(&vlp);
+                engine.attachHfnt(
+                    1, &hfnt, [&assignment](const trace::BranchRecord &r) {
+                        return assignment.lookup(r.pc);
+                    });
                 const auto test_trace =
                     context.trace(spec, workload::InputKind::Test);
                 test_trace->reset();
-                trace::BranchRecord record;
-                while (test_trace->next(record)) {
-                    if (record.isConditional()) {
-                        hfnt.predictNumber(record.pc);
-                        hfnt.update(record.pc,
-                                    assignment.lookup(record.pc));
-                    }
-                }
-                test_trace->reset();
-                simulator.run(*test_trace);
+                engine.run(*test_trace);
 
-                const auto results = simulator.conditionalResults();
+                const auto results = engine.conditionalResults();
                 for (const auto &result : results)
                     runner.addPredictions(result.branches);
                 const double instructions =
@@ -117,7 +112,8 @@ main(int argc, char **argv)
                 const auto vlp_time =
                     sim::estimateTiming(parameters, results[1]);
                 const auto vlp_time_hfnt = sim::estimateTiming(
-                    parameters, results[1], hfnt.mismatches());
+                    parameters, results[1],
+                    engine.conditionalTiming(1).repredictEvents);
 
                 return std::vector<sim::Cell>{
                     sim::Cell::text(name),

@@ -551,11 +551,8 @@ ExperimentServer::handleCancel(
         return;
     }
 
-    // Fire the token first: if the request slips from queued to
-    // running between our remove() attempt and now, it still unwinds
-    // at its first step boundary.
-    request->cancel->cancel();
     if (queue_.remove(id)) {
+        request->cancel->cancel();
         setState(request, State::Cancelled);
         {
             std::lock_guard<std::mutex> lock(registryMutex_);
@@ -579,11 +576,16 @@ ExperimentServer::handleCancel(
     if (state == State::Queued || state == State::Running) {
         // Popped (possibly mid-run); the worker acks the submitter
         // with a cancelled frame when it unwinds. Tell the canceller
-        // the cancellation is in flight.
+        // the cancellation is in flight, then fire the token: in that
+        // order the acknowledgement always precedes the cancelled
+        // frame, which a client on the same connection relies on.
+        // A popped request that has not started yet still sees the
+        // token at its first step boundary.
         util::inform("serve: cancelling running request "
                      + std::to_string(id));
         connection->sendLine(
             statusReportFrame(id, "cancelling", std::size_t(-1)));
+        request->cancel->cancel();
         return;
     }
     // Already terminal; report the final state instead.

@@ -85,28 +85,6 @@ FrontendResult::branchesPerCycle() const
     return static_cast<double>(branches) / cycles;
 }
 
-FrontendResult
-closedFormFrontend(const FrontendParameters &parameters,
-                   std::uint64_t branches, std::uint64_t mispredictions,
-                   std::uint64_t repredict_events)
-{
-    FrontendResult result;
-    result.branches = branches;
-    result.mispredictions = mispredictions;
-    result.repredictEvents = repredict_events;
-    // Explicit zero-result semantics: an empty stream or a degenerate
-    // bundle width estimates zero cycles, never NaN or infinity.
-    if (branches == 0 || parameters.bundleWidth == 0)
-        return result;
-    result.baseCycles = static_cast<double>(branches)
-        / static_cast<double>(parameters.bundleWidth);
-    result.mispredictCycles = static_cast<double>(mispredictions)
-        * parameters.mispredictPenaltyCycles;
-    result.repredictCycles = static_cast<double>(repredict_events)
-        * parameters.repredictPenaltyCycles;
-    return result;
-}
-
 FetchEngine::FetchEngine(FrontendParameters parameters)
     : parameters_(std::move(parameters))
 {
@@ -146,15 +124,6 @@ FetchEngine::attachHfnt(
     assert(hfnt != nullptr && actual_number != nullptr);
     conditional_[slot].hfnt = hfnt;
     conditional_[slot].actualNumber = std::move(actual_number);
-}
-
-void
-FetchEngine::run(trace::TraceSource &source)
-{
-    if (parameters_.mode == FrontendMode::RetireOrder)
-        runRetireOrder(source);
-    else
-        runFetchBundle(source);
 }
 
 void
@@ -255,7 +224,7 @@ FetchEngine::advanceHistory(pred::Predictor &predictor,
 }
 
 void
-FetchEngine::runFetchBundle(trace::TraceSource &source)
+FetchEngine::run(trace::TraceSource &source)
 {
     trace::BranchRecord record;
     while (source.next(record)) {
@@ -304,83 +273,6 @@ FetchEngine::runFetchBundle(trace::TraceSource &source)
 
     for (ConditionalSlot &slot : conditional_)
         closeBundle(slot);
-
-    // Indirect slots carry accuracy through the engine but use the
-    // closed-form cycle model (the bundle machinery is a conditional
-    // fetch-slot concept).
-    for (IndirectSlot &slot : indirect_) {
-        FrontendResult filled = closedFormFrontend(
-            parameters_, slot.timing.branches,
-            slot.timing.mispredictions, 0);
-        filled.checkpointRestores = slot.timing.checkpointRestores;
-        slot.timing = filled;
-    }
-}
-
-void
-FetchEngine::runRetireOrder(trace::TraceSource &source)
-{
-    trace::BranchRecord record;
-    while (source.next(record)) {
-        if (record.isConditional()) {
-            for (ConditionalSlot &slot : conditional_) {
-                if (slot.hfnt != nullptr) {
-                    // Same HFNT stream as the fetch-bundle mode, so
-                    // repredictEvents agrees; only the cycle charge
-                    // is closed-form here.
-                    const unsigned actual_number =
-                        slot.actualNumber(record);
-                    if (slot.hfnt->predictNumber(record.pc)
-                        != actual_number)
-                        ++slot.timing.repredictEvents;
-                    slot.hfnt->update(record.pc, actual_number);
-                }
-                const bool predicted =
-                    slot.predictor->predict(record);
-                const bool miss = predicted != record.taken;
-                ++slot.timing.branches;
-                slot.timing.mispredictions += miss ? 1 : 0;
-                slot.predictor->update(record);
-            }
-        } else if (record.isIndirect()) {
-            for (IndirectSlot &slot : indirect_) {
-                const std::uint64_t predicted =
-                    slot.predictor->predict(record);
-                const bool miss = predicted != record.nextPc;
-                ++slot.timing.branches;
-                slot.timing.mispredictions += miss ? 1 : 0;
-                slot.predictor->update(record);
-            }
-        } else if (record.isReturn()) {
-            ++returns_;
-            if (ras_.predictAndPop() != record.nextPc)
-                ++returnMisses_;
-        }
-
-        if (record.isCall())
-            ras_.push(record.pc + trace::instructionBytes);
-
-        for (ConditionalSlot &slot : conditional_)
-            slot.predictor->observe(record);
-        for (IndirectSlot &slot : indirect_)
-            slot.predictor->observe(record);
-    }
-    fillClosedFormTiming();
-}
-
-void
-FetchEngine::fillClosedFormTiming()
-{
-    for (ConditionalSlot &slot : conditional_) {
-        slot.timing = closedFormFrontend(
-            parameters_, slot.timing.branches,
-            slot.timing.mispredictions, slot.timing.repredictEvents);
-    }
-    for (IndirectSlot &slot : indirect_) {
-        slot.timing = closedFormFrontend(
-            parameters_, slot.timing.branches,
-            slot.timing.mispredictions, 0);
-    }
 }
 
 std::vector<PredictorResult>
@@ -429,13 +321,6 @@ FetchEngine::conditionalTiming(std::size_t slot) const
 {
     assert(slot < conditional_.size());
     return conditional_[slot].timing;
-}
-
-const FrontendResult &
-FetchEngine::indirectTiming(std::size_t slot) const
-{
-    assert(slot < indirect_.size());
-    return indirect_[slot].timing;
 }
 
 } // namespace sim

@@ -7,9 +7,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
 #include <cstring>
 
+#include "trace/trace_io.h"
 #include "util/logging.h"
 
 namespace vlp {
@@ -17,23 +17,11 @@ namespace trace {
 
 namespace {
 
-constexpr std::array<char, 4> traceMagicV1 = {'V', 'B', 'T', '1'};
-constexpr std::array<char, 4> traceMagicV2 = {'V', 'B', 'T', '2'};
-constexpr std::size_t recordBytes = 1 + 1 + 8 + 8;
-constexpr std::uint64_t headerBytesV1 = 12;
-constexpr std::uint64_t headerBytesV2 = 20;
+using vbt::getU64;
+using vbt::recordBytes;
 
 /** Block size for whole-file hashing (mapped and buffered paths). */
 constexpr std::size_t hashBlockBytes = 64 * 1024;
-
-std::uint64_t
-getU64(const std::uint8_t *buffer)
-{
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(buffer[i]) << (8 * i);
-    return value;
-}
 
 } // anonymous namespace
 
@@ -42,34 +30,36 @@ StreamingTraceReader::StreamingTraceReader(std::unique_ptr<ByteFile> file,
     : file_(std::move(file)), hashing_(file_->hasher()),
       chunkRecords_(chunk_records > 0 ? chunk_records : 1)
 {
-    std::uint8_t header[headerBytesV2];
-    readFully(header, headerBytesV1);
-    if (std::memcmp(header, traceMagicV2.data(), 4) == 0) {
+    std::uint8_t header[vbt::headerBytesV2];
+    readFully(header, vbt::headerBytesV1);
+    if (std::memcmp(header, vbt::magicV2.data(), 4) == 0) {
         formatVersion_ = 2;
-        headerBytes_ = headerBytesV2;
-        readFully(header + headerBytesV1, 8);
+        headerBytes_ = vbt::headerBytesV2;
+        readFully(header + vbt::headerBytesV1, 8);
         expectedChecksum_ = getU64(header + 12);
-    } else if (std::memcmp(header, traceMagicV1.data(), 4) == 0) {
+    } else if (std::memcmp(header, vbt::magicV1.data(), 4) == 0) {
         // VBT1 headers end at the record count; there is no checksum
         // field to skip, and the first record starts at byte 12.
         formatVersion_ = 1;
-        headerBytes_ = headerBytesV1;
+        headerBytes_ = vbt::headerBytesV1;
     } else {
         util::fatal("not a .vbt trace file: " + file_->name());
     }
     count_ = getU64(header + 4);
 
-    // Reject truncated or torn files up front, exactly like the
-    // materializing TraceReader: the record stream must hold the bytes
-    // the header promises.
-    const std::uint64_t expected =
-        headerBytes_ + count_ * recordBytes;
+    // Reject truncated or torn files up front: the record stream must
+    // hold exactly the records the header promises. The comparison is
+    // in records, never header + count * recordBytes, so an untrusted
+    // count cannot wrap the product into a plausible size.
     const std::uint64_t actual = file_->size();
-    if (actual != expected) {
+    const std::uint64_t body =
+        actual >= headerBytes_ ? actual - headerBytes_ : 0;
+    if (actual < headerBytes_ || body % recordBytes != 0
+        || body / recordBytes != count_) {
         util::fatal("truncated or corrupt trace file: " + file_->name()
-                    + " (header promises " + std::to_string(expected)
-                    + " bytes, file has " + std::to_string(actual)
-                    + ")");
+                    + " (header promises " + std::to_string(count_)
+                    + " records, file has " + std::to_string(actual)
+                    + " bytes)");
     }
 }
 

@@ -11,15 +11,15 @@
  * peak trace-buffer memory at chunkRecords * 18 bytes regardless of
  * file size — the property the external-trace suite runner relies on.
  *
- * Validation matches trace_io.h's TraceReader: magic and header-vs-
- * file-size checks at open (truncated files fail before any record is
- * served), per-record kind/taken checks, and — for VBT2 — a
- * stream checksum verified when the final record is consumed. The
- * checksum is accumulated per refilled chunk (same bytes, same order,
- * same digest as the historical per-record accumulation); when the
- * file is wrapped in a HashingByteFile the checksum chain is fused
- * into the content-hash kernel, so hash, checksum, and decode touch
- * each byte exactly once. formatVersion() lets callers warn on
+ * This is the one .vbt decoder (the layout lives in trace_io.h).
+ * Validation: magic and header-vs-file-size checks at open (truncated
+ * files fail before any record is served), per-record kind/taken
+ * checks, and — for VBT2 — a stream checksum verified when the final
+ * record is consumed. The checksum is accumulated per refilled chunk
+ * (same bytes, same order, same digest as a per-record accumulation);
+ * when the file is wrapped in a HashingByteFile the checksum chain is
+ * fused into the content-hash kernel, so hash, checksum, and decode
+ * touch each byte exactly once. formatVersion() lets callers warn on
  * unchecksummed VBT1 inputs.
  */
 

@@ -13,64 +13,6 @@
 namespace vlp {
 namespace trace {
 
-BranchKind
-parseBranchKind(const std::string &name)
-{
-    for (unsigned kind = 0; kind < numBranchKinds; ++kind) {
-        if (name == branchKindName(static_cast<BranchKind>(kind)))
-            return static_cast<BranchKind>(kind);
-    }
-    util::fatal("unknown branch kind: " + name);
-}
-
-VectorTraceSource
-readTextTrace(std::istream &in)
-{
-    VectorTraceSource source;
-    std::string line;
-    std::size_t line_number = 0;
-    while (std::getline(in, line)) {
-        ++line_number;
-        const auto first = line.find_first_not_of(" \t");
-        if (first == std::string::npos || line[first] == '#')
-            continue;
-
-        std::istringstream fields(line);
-        std::string kind_name, pc_text, next_text, taken_text;
-        if (!(fields >> kind_name >> pc_text >> next_text
-                     >> taken_text)) {
-            util::fatal("malformed trace line "
-                        + std::to_string(line_number) + ": " + line);
-        }
-
-        BranchRecord record;
-        record.kind = parseBranchKind(kind_name);
-        char *end = nullptr;
-        record.pc = std::strtoull(pc_text.c_str(), &end, 16);
-        if (end == pc_text.c_str() || *end != '\0')
-            util::fatal("bad pc on trace line "
-                        + std::to_string(line_number));
-        record.nextPc = std::strtoull(next_text.c_str(), &end, 16);
-        if (end == next_text.c_str() || *end != '\0')
-            util::fatal("bad nextPc on trace line "
-                        + std::to_string(line_number));
-        if (taken_text == "T") {
-            record.taken = true;
-        } else if (taken_text == "N") {
-            record.taken = false;
-        } else {
-            util::fatal("bad direction on trace line "
-                        + std::to_string(line_number)
-                        + " (want T or N)");
-        }
-        if (!record.isConditional() && !record.taken)
-            util::fatal("non-conditional branch marked not-taken on "
-                        "line " + std::to_string(line_number));
-        source.append(record);
-    }
-    return source;
-}
-
 namespace {
 
 bool
@@ -169,6 +111,15 @@ tryParseLine(const std::string &line, BranchRecord &record,
 
 } // anonymous namespace
 
+BranchKind
+parseBranchKind(const std::string &name)
+{
+    BranchKind kind = BranchKind::Conditional;
+    if (!tryParseKind(name, kind))
+        util::fatal("unknown branch kind: " + name);
+    return kind;
+}
+
 VectorTraceSource
 readTextTraceLenient(std::istream &in, ConvertReport &report)
 {
@@ -196,6 +147,17 @@ readTextTraceLenient(std::istream &in, ConvertReport &report)
             }
         }
     }
+    return source;
+}
+
+VectorTraceSource
+readTextTrace(std::istream &in)
+{
+    ConvertReport report;
+    VectorTraceSource source = readTextTraceLenient(in, report);
+    if (report.skipped != 0)
+        util::fatal("malformed text trace: "
+                    + report.diagnostics.front());
     return source;
 }
 

@@ -6,8 +6,9 @@
  *     <kind> <pc-hex> <nextpc-hex> <T|N>
  *
  * where <kind> is one of cond, jump, call, ijump, icall, ret (the
- * names branchKindName() prints). Lines starting with '#' and blank
- * lines are ignored. Example:
+ * names branchKindName() prints). The reduced ChampSim-style form
+ * `<pc-hex> <nextpc-hex> <T|N|1|0>` is a conditional branch. Lines
+ * starting with '#' and blank lines are ignored. Example:
  *
  *     # extracted from a ChampSim trace
  *     cond  40001c 400080 T
@@ -29,8 +30,10 @@ namespace vlp {
 namespace trace {
 
 /**
- * Parse a text trace from @p in.
- * @throws std::runtime_error on malformed lines (with line number)
+ * Parse a text trace from @p in: readTextTraceLenient's grammar, but
+ * strict.
+ * @throws std::runtime_error carrying the first "line N: why"
+ *         diagnostic when any line is malformed
  */
 VectorTraceSource readTextTrace(std::istream &in);
 

@@ -12,12 +12,10 @@
  *     uint64 pc
  *     uint64 nextPc
  *
- * Version-1 files ("VBT1" magic, no checksum field) are still read.
- * The reader validates the file size against the header's record count
- * at open — a truncated or torn file fails immediately with a clear
- * error instead of a partial read — and, for VBT2 files, verifies the
- * checksum once the last record has been consumed, so bit flips
- * anywhere in the record stream are detected.
+ * Version-1 files ("VBT1" magic, no checksum field, 12-byte header)
+ * are still read. The one decoder is trace/streaming.h's
+ * StreamingTraceReader; the layout constants below are shared by it
+ * and TraceWriter.
  *
  * The format is deliberately trivial so that external traces (e.g.
  * branch streams extracted from ChampSim-style instruction traces) can
@@ -27,6 +25,8 @@
 #ifndef VLPSIM_TRACE_TRACE_IO_H
 #define VLPSIM_TRACE_TRACE_IO_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -37,6 +37,38 @@
 
 namespace vlp {
 namespace trace {
+
+/** The .vbt byte layout. */
+namespace vbt {
+
+constexpr std::array<char, 4> magicV1 = {'V', 'B', 'T', '1'};
+constexpr std::array<char, 4> magicV2 = {'V', 'B', 'T', '2'};
+/** VBT1 header: magic + record count. */
+constexpr std::uint64_t headerBytesV1 = 12;
+/** VBT2 header: magic + record count + record-stream checksum. */
+constexpr std::uint64_t headerBytesV2 = 20;
+/** One record: kind, taken, pc, nextPc. */
+constexpr std::size_t recordBytes = 1 + 1 + 8 + 8;
+
+/** Store @p value little-endian at @p buffer. */
+inline void
+putU64(std::uint8_t *buffer, std::uint64_t value)
+{
+    for (int i = 0; i < 8; ++i)
+        buffer[i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+/** Load a little-endian value from @p buffer. */
+inline std::uint64_t
+getU64(const std::uint8_t *buffer)
+{
+    std::uint64_t value = 0;
+    for (int i = 0; i < 8; ++i)
+        value |= static_cast<std::uint64_t>(buffer[i]) << (8 * i);
+    return value;
+}
+
+} // namespace vbt
 
 /** Writes .vbt trace files (always the current VBT2 format). */
 class TraceWriter
@@ -70,54 +102,10 @@ class TraceWriter
     util::Fnv1a checksum_;
 };
 
-/** Reads .vbt trace files as a TraceSource. */
-class TraceReader : public TraceSource
-{
-  public:
-    /**
-     * Open @p path and validate the header, including that the file
-     * holds exactly the record bytes the header promises.
-     * @throws std::runtime_error on missing file, bad magic, or a
-     *         truncated/oversized record stream
-     */
-    explicit TraceReader(const std::string &path);
-
-    ~TraceReader() override;
-
-    TraceReader(const TraceReader &) = delete;
-    TraceReader &operator=(const TraceReader &) = delete;
-
-    /**
-     * @throws std::runtime_error on a corrupt record, or — after the
-     *         final record of a VBT2 file — on a checksum mismatch
-     */
-    bool next(BranchRecord &record) override;
-
-    void reset() override;
-
-    /** Total records according to the header. */
-    std::uint64_t count() const { return count_; }
-
-    /**
-     * The file's .vbt format version: 1 (VBT1, no checksum field —
-     * the record stream starts right after the count, and corruption
-     * inside records goes undetected) or 2 (VBT2, checksummed).
-     * Callers ingesting third-party traces warn on version 1.
-     */
-    unsigned formatVersion() const { return hasChecksum_ ? 2u : 1u; }
-
-  private:
-    std::FILE *file_ = nullptr;
-    std::uint64_t count_ = 0;
-    std::uint64_t read_ = 0;
-    /** Expected record-stream checksum; 0 for VBT1 (not verified). */
-    std::uint64_t expectedChecksum_ = 0;
-    bool hasChecksum_ = false;
-    long headerBytes_ = 0;
-    util::Fnv1a checksum_;
-};
-
-/** Convenience: read an entire trace file into memory. */
+/**
+ * Convenience: read an entire trace file into memory.
+ * @throws std::runtime_error on any StreamingTraceReader failure
+ */
 VectorTraceSource loadTrace(const std::string &path);
 
 /** Convenience: write an entire in-memory trace to @p path. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Small statistics helpers: ratios, running statistics, histograms.
+ * Small statistics helpers: ratios, formatting, histograms.
  */
 
 #ifndef VLPSIM_UTIL_STATS_H
@@ -27,37 +27,6 @@ std::string formatCount(std::uint64_t value);
  * or the raw number below 1000.
  */
 std::string formatScaled(std::uint64_t value);
-
-/** Online mean / min / max / count accumulator. */
-class RunningStat
-{
-  public:
-    RunningStat() = default;
-
-    /** Record one sample. */
-    void add(double sample);
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /** Mean of samples (0 when empty). */
-    double mean() const;
-
-    /** Smallest sample (0 when empty). */
-    double min() const { return count_ ? min_ : 0.0; }
-
-    /** Largest sample (0 when empty). */
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /** Sum of samples. */
-    double sum() const { return sum_; }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Fixed-bucket histogram over small unsigned values (e.g. selected hash

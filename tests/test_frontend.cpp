@@ -2,8 +2,8 @@
  * @file
  * Tests for the speculative fetch-bundle front end (DESIGN.md §17).
  *
- * The contract under test has two halves. Accuracy: both FetchEngine
- * modes must reproduce the retirement-order Simulator's branch and
+ * The contract under test has two halves. Accuracy: the FetchEngine
+ * must reproduce the retirement-order Simulator's branch and
  * misprediction counts bit for bit, for every benchmark in the suite,
  * at any --jobs setting — speculation may move cycles around, never
  * what the tables learn. Mechanism: the checkpoint/speculate/restore
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -82,8 +83,8 @@ randomRecord(util::Rng &rng)
 }
 
 // ---------------------------------------------------------------------
-// Suite-wide equivalence: Simulator == RetireOrder == FetchBundle,
-// bit-identically, at --jobs 1 and 4.
+// Suite-wide equivalence: Simulator == FetchBundle, bit-identically,
+// at --jobs 1 and 4.
 // ---------------------------------------------------------------------
 
 /** Flattened (branches, mispredictions) pairs across all slots. */
@@ -108,11 +109,10 @@ signatureOf(const std::vector<sim::PredictorResult> &conditional,
     return out;
 }
 
-/** All three accuracy signatures for one workload. */
+/** Both accuracy signatures for one workload. */
 struct ModeSignatures
 {
     Signature simulator;
-    Signature retire;
     Signature bundle;
 };
 
@@ -179,9 +179,8 @@ runWorkload(sim::ExperimentContext &context, const std::string &name)
                                     simulator.rasResult());
     }
 
-    const auto engine_run = [&](sim::FrontendMode mode) {
+    {
         sim::FrontendParameters parameters;
-        parameters.mode = mode;
         parameters.bundleWidth = 4;
         parameters.chaosIdentity = name;
 
@@ -199,11 +198,10 @@ runWorkload(sim::ExperimentContext &context, const std::string &name)
         engine.attachHfnt(2, &hfnt, actual_number);
         trace->reset();
         engine.run(*trace);
-        return signatureOf(engine.conditionalResults(),
-                           engine.indirectResults(), engine.rasResult());
-    };
-    out.retire = engine_run(sim::FrontendMode::RetireOrder);
-    out.bundle = engine_run(sim::FrontendMode::FetchBundle);
+        out.bundle = signatureOf(engine.conditionalResults(),
+                                 engine.indirectResults(),
+                                 engine.rasResult());
+    }
     return out;
 }
 
@@ -230,12 +228,10 @@ TEST(FrontendEquivalence, AllWorkloadsBothModesAndJobCounts)
         // Non-degenerate: the workload produced branches.
         ASSERT_FALSE(serial[i].simulator.empty());
         EXPECT_GT(serial[i].simulator[0], 0u);
-        // Both engine modes match the Simulator bit for bit.
-        EXPECT_EQ(serial[i].retire, serial[i].simulator);
+        // The engine matches the Simulator bit for bit.
         EXPECT_EQ(serial[i].bundle, serial[i].simulator);
         // And sharding across 4 workers changes nothing.
         EXPECT_EQ(parallel[i].simulator, serial[i].simulator);
-        EXPECT_EQ(parallel[i].retire, serial[i].retire);
         EXPECT_EQ(parallel[i].bundle, serial[i].bundle);
     }
 }
@@ -576,7 +572,6 @@ TEST(FrontendBanking, SinglePortedTableSplitsEveryBundle)
 
     const auto run = [&](unsigned banks) {
         sim::FrontendParameters parameters;
-        parameters.mode = sim::FrontendMode::FetchBundle;
         parameters.bundleWidth = 4;
         core::PathConditionalPredictor flp(8, 4);
         if (banks != 0)
@@ -643,7 +638,6 @@ TEST(FrontendChaos, SpuriousRestoresLeaveStatsUnchanged)
         }
 
         sim::FrontendParameters parameters;
-        parameters.mode = sim::FrontendMode::FetchBundle;
         parameters.bundleWidth = 2;
         parameters.chaosIdentity = "frontend-test";
         pred::GsharePredictor gshare(10);
@@ -699,23 +693,36 @@ TEST(FrontendChaos, SpuriousRestoresLeaveStatsUnchanged)
 }
 
 // ---------------------------------------------------------------------
-// Closed-form fallback edges.
+// Degenerate inputs.
 // ---------------------------------------------------------------------
 
 TEST(FrontendClosedForm, ZeroBranchesAndZeroWidthYieldZeroResult)
 {
-    sim::FrontendParameters parameters;
-    const sim::FrontendResult empty =
-        sim::closedFormFrontend(parameters, 0, 0, 0);
-    EXPECT_DOUBLE_EQ(empty.totalCycles(), 0.0);
-    EXPECT_DOUBLE_EQ(empty.ipc(5000.0), 0.0);
-    EXPECT_DOUBLE_EQ(empty.branchesPerCycle(), 0.0);
+    // An empty trace charges nothing: every ledger field and derived
+    // rate is zero, never NaN.
+    pred::GsharePredictor gshare(10);
+    core::PathIndirectPredictor indirect(10, 4);
+    sim::FetchEngine engine;
+    engine.addConditional(&gshare);
+    engine.addIndirect(&indirect);
+    trace::VectorTraceSource empty;
+    engine.run(empty);
+    const sim::FrontendResult &timing = engine.conditionalTiming(0);
+    EXPECT_DOUBLE_EQ(timing.totalCycles(), 0.0);
+    EXPECT_DOUBLE_EQ(timing.ipc(5000.0), 0.0);
+    EXPECT_DOUBLE_EQ(timing.branchesPerCycle(), 0.0);
+    EXPECT_EQ(timing.branches, 0u);
+    EXPECT_EQ(timing.bundles, 0u);
+    EXPECT_EQ(timing.checkpointRestores, 0u);
+    EXPECT_EQ(signatureOf(engine.conditionalResults(),
+                          engine.indirectResults(), engine.rasResult()),
+              Signature(6, 0));
 
+    // A zero-width bundle cannot hold a branch: the engine refuses it.
+    sim::FrontendParameters parameters;
     parameters.bundleWidth = 0;
-    const sim::FrontendResult degenerate =
-        sim::closedFormFrontend(parameters, 1000, 10, 5);
-    EXPECT_DOUBLE_EQ(degenerate.totalCycles(), 0.0);
-    EXPECT_DOUBLE_EQ(degenerate.ipc(5000.0), 0.0);
+    EXPECT_THROW(sim::FetchEngine rejected(parameters),
+                 std::runtime_error);
 }
 
 } // anonymous namespace
@@ -723,8 +730,8 @@ TEST(FrontendClosedForm, ZeroBranchesAndZeroWidthYieldZeroResult)
 int
 main(int argc, char **argv)
 {
-    // The suite-wide equivalence test replays all 16 benchmarks three
-    // times at two job counts; pin the scale before any workload
+    // The suite-wide equivalence test replays all 16 benchmarks twice
+    // at two job counts; pin the scale before any workload
     // generation so the run is fast and deterministic.
     setenv("VLPSIM_SCALE", "0.05", 1);
     ::testing::InitGoogleTest(&argc, argv);

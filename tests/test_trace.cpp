@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "trace/branch_record.h"
+#include "trace/streaming.h"
 #include "trace/text_io.h"
 #include "trace/trace_filter.h"
 #include "trace/trace_io.h"
@@ -149,7 +150,7 @@ TEST(TraceIo, ReaderStreamsAndResets)
         }
         EXPECT_EQ(writer.count(), 10u);
     }
-    TraceReader reader(path);
+    StreamingTraceReader reader(path);
     EXPECT_EQ(reader.count(), 10u);
     BranchRecord record;
     int seen = 0;
@@ -164,8 +165,9 @@ TEST(TraceIo, ReaderStreamsAndResets)
 
 TEST(TraceIo, MissingFileFails)
 {
-    EXPECT_THROW(TraceReader("/nonexistent/trace.vbt"),
+    EXPECT_THROW(StreamingTraceReader("/nonexistent/trace.vbt"),
                  std::runtime_error);
+    EXPECT_THROW(loadTrace("/nonexistent/trace.vbt"), std::runtime_error);
 }
 
 TEST(TraceIo, BadMagicFails)
@@ -174,7 +176,7 @@ TEST(TraceIo, BadMagicFails)
     std::FILE *file = std::fopen(path.c_str(), "wb");
     std::fputs("NOTATRACE-HEADER", file);
     std::fclose(file);
-    EXPECT_THROW(TraceReader reader(path), std::runtime_error);
+    EXPECT_THROW(StreamingTraceReader reader(path), std::runtime_error);
     std::remove(path.c_str());
 }
 
@@ -192,7 +194,7 @@ TEST(TraceIo, CorruptKindFails)
     std::fputc(0x7f, file);
     std::fclose(file);
 
-    TraceReader reader(path);
+    StreamingTraceReader reader(path);
     BranchRecord record;
     EXPECT_THROW(reader.next(record), std::runtime_error);
     std::remove(path.c_str());
@@ -216,8 +218,8 @@ TEST(TraceIo, TruncatedFileFailsAtOpen)
     ASSERT_EQ(truncate(path.c_str(), size - 9), 0);
 
     try {
-        TraceReader reader(path);
-        FAIL() << "expected TraceReader to reject a truncated file";
+        StreamingTraceReader reader(path);
+        FAIL() << "expected the reader to reject a truncated file";
     } catch (const std::runtime_error &error) {
         // The error must name the file and the size discrepancy.
         const std::string what = error.what();
@@ -234,7 +236,7 @@ TEST(TraceIo, ShortHeaderFailsAtOpen)
     std::FILE *file = std::fopen(path.c_str(), "wb");
     std::fputs("VBT2", file); // magic only, no count/checksum
     std::fclose(file);
-    EXPECT_THROW(TraceReader reader(path), std::runtime_error);
+    EXPECT_THROW(StreamingTraceReader reader(path), std::runtime_error);
     std::remove(path.c_str());
 }
 
@@ -257,7 +259,7 @@ TEST(TraceIo, BitFlipFailsChecksum)
     std::fputc(original ^ 0x10, file);
     std::fclose(file);
 
-    TraceReader reader(path);
+    StreamingTraceReader reader(path);
     BranchRecord record;
     try {
         while (reader.next(record)) {
@@ -304,8 +306,43 @@ TEST(TraceIo, V1SizeMismatchFailsAtOpen)
     const std::uint64_t count = 5; // promises 5 records, provides none
     std::fwrite(&count, 8, 1, file);
     std::fclose(file);
-    EXPECT_THROW(TraceReader reader(path), std::runtime_error);
+    EXPECT_THROW(StreamingTraceReader reader(path), std::runtime_error);
     std::remove(path.c_str());
+}
+
+TEST(TraceIo, HugeHeaderCountFailsAtOpen)
+{
+    // count = 2^63 + 1 makes header + count * 18 wrap to exactly the
+    // file size (20 + 18 bytes for VBT2, 12 + 18 for VBT1), so a
+    // byte-size comparison would accept the file and a later reserve()
+    // or read would fail far from the cause.
+    const std::uint64_t count = (std::uint64_t{1} << 63) + 1;
+    for (const char *magic : {"VBT1", "VBT2"}) {
+        SCOPED_TRACE(magic);
+        const std::string path = tempPath("hugecount.vbt");
+        std::FILE *file = std::fopen(path.c_str(), "wb");
+        std::fputs(magic, file);
+        std::fwrite(&count, 8, 1, file); // little-endian host assumed
+        if (magic[3] == '2') {
+            const std::uint64_t checksum = 0;
+            std::fwrite(&checksum, 8, 1, file);
+        }
+        const std::uint8_t record[18] = {};
+        std::fwrite(record, 1, sizeof(record), file);
+        std::fclose(file);
+
+        try {
+            StreamingTraceReader reader(path);
+            FAIL() << "expected the reader to reject the header";
+        } catch (const std::runtime_error &error) {
+            EXPECT_NE(std::string(error.what())
+                          .find("truncated or corrupt trace file"),
+                      std::string::npos)
+                << error.what();
+        }
+        EXPECT_THROW(loadTrace(path), std::runtime_error);
+        std::remove(path.c_str());
+    }
 }
 
 TEST(TextIo, RoundTripAllKinds)
@@ -339,11 +376,14 @@ TEST(TextIo, ParsesCommentsAndBlankLines)
         "\n"
         "cond 400000 400040 T\n"
         "   # indented comment\n"
-        "ret 400040 400004 T\n");
+        "ret 400040 400004 T\n"
+        "400004 400008 0\n"); // reduced form: a conditional branch
     const VectorTraceSource loaded = readTextTrace(in);
-    ASSERT_EQ(loaded.size(), 2u);
+    ASSERT_EQ(loaded.size(), 3u);
     EXPECT_EQ(loaded.records()[0].pc, 0x400000u);
     EXPECT_TRUE(loaded.records()[1].isReturn());
+    EXPECT_EQ(loaded.records()[2],
+              make(0x400004, 0x400008, false, BranchKind::Conditional));
 }
 
 TEST(TextIo, RejectsMalformedLines)
@@ -368,7 +408,24 @@ TEST(TextIo, RejectsMalformedLines)
         std::istringstream in("jump 400000 400040 N\n"); // jump N
         EXPECT_THROW(readTextTrace(in), std::runtime_error);
     }
+    {
+        // The error names the first bad line.
+        std::istringstream in("cond 400000 400040 T\n"
+                              "# comment\n"
+                              "cond 400040 zz T\n"
+                              "blorp\n");
+        try {
+            readTextTrace(in);
+            FAIL() << "expected a malformed-line error";
+        } catch (const std::runtime_error &error) {
+            const std::string what = error.what();
+            EXPECT_NE(what.find("line 3: bad nextPc 'zz'"),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
+
 
 TEST(TextIo, ParseBranchKindNames)
 {

@@ -271,21 +271,6 @@ TEST(Stats, Formatting)
     EXPECT_EQ(formatScaled(91400), "91.4 K");
 }
 
-TEST(Stats, RunningStat)
-{
-    RunningStat stat;
-    EXPECT_EQ(stat.count(), 0u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 0.0);
-    stat.add(2.0);
-    stat.add(4.0);
-    stat.add(9.0);
-    EXPECT_EQ(stat.count(), 3u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(stat.min(), 2.0);
-    EXPECT_DOUBLE_EQ(stat.max(), 9.0);
-    EXPECT_DOUBLE_EQ(stat.sum(), 15.0);
-}
-
 TEST(Stats, HistogramBasics)
 {
     Histogram histogram(8);

@@ -393,7 +393,6 @@ runFrontendOnce(const ChaosArgs &args, bool with_chaos)
     vlp.setBanks(4);
 
     sim::FrontendParameters parameters;
-    parameters.mode = sim::FrontendMode::FetchBundle;
     parameters.bundleWidth = 4;
     parameters.chaosIdentity = "chaos-frontend";
     sim::FetchEngine engine(parameters);

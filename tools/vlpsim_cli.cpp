@@ -68,11 +68,13 @@
  *       entry's checksum (removing corrupt ones); clear empties it.
  *   import <in.txt> <out.vbt> / export <in.vbt> <out.txt>
  *       Convert between the text trace format (one branch per line —
- *       the adapter path for external tools) and the binary format.
+ *       the adapter path for external tools; ChampSim-style reduced
+ *       lines accepted) and the binary format. import stops at the
+ *       first malformed line and names it.
  *   convert <in.txt> <out.vbt>
  *       Like import, but lenient: malformed lines are skipped and
  *       reported with their line numbers instead of aborting, for
- *       external branch logs (ChampSim-style reduced lines accepted).
+ *       external branch logs.
  *   serve / submit / status / cancel / shutdown
  *       The async experiment service and its client verbs
  *       (tools/cli_serve.cpp): a daemon on a local socket with a
@@ -240,7 +242,7 @@ cmdStats(int argc, char **argv)
     parser.addPositional("trace.vbt", "input trace");
     const auto args = parser.parse(argc, argv, 2);
 
-    trace::TraceReader reader(args[0]);
+    trace::StreamingTraceReader reader(args[0]);
     if (reader.formatVersion() < 2) {
         std::cerr << "warning: " << args[0]
                   << " is an unchecksummed VBT1 container; corruption "
