@@ -20,6 +20,7 @@
 #include "sim/report.h"
 #include "sim/suite_runner.h"
 #include "store/artifact_store.h"
+#include "util/chaos.h"
 #include "util/logging.h"
 
 namespace vlp {
@@ -150,10 +151,10 @@ ExperimentServer::start()
             return;
         started_ = true;
     }
-    if (options_.chaos.enabled) {
-        util::chaos::configure(options_.chaos);
+    if (util::chaos::enabled()) {
         util::inform("serve: chaos enabled (seed "
-                     + std::to_string(options_.chaos.seed) + ")");
+                     + std::to_string(util::chaos::config().seed)
+                     + ")");
     }
     if (::pipe(shutdownPipe_) != 0)
         throw std::runtime_error("serve: cannot create shutdown pipe");

@@ -50,7 +50,6 @@
 
 #include "serve/protocol.h"
 #include "serve/request_queue.h"
-#include "util/chaos.h"
 #include "util/socket.h"
 
 namespace vlp {
@@ -79,9 +78,6 @@ struct ServerOptions
     std::string cacheDirectory;
     /** Store size bound, LRU-evicted (0 = unbounded). */
     std::uint64_t cacheMaxBytes = 0;
-    /** Chaos switchboard knobs; when enabled, start() installs this
-     *  configuration process-wide (the --chaos* flags). */
-    util::chaos::Config chaos;
 };
 
 /** Lifetime request counters, for status frames and tests. */

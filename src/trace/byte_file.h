@@ -3,10 +3,10 @@
  * Byte-level file access behind a virtual seam.
  *
  * Trace readers consume raw bytes through the ByteFile interface
- * instead of touching stdio directly, so tests can interpose
- * deterministic fault injection (trace/fault_injection.h) on the exact
- * code paths production uses: the same short-read loops, the same
- * error classification, the same checksum verification.
+ * instead of touching stdio directly, so the chaos switchboard can
+ * interpose deterministic fault injection (trace/fault_injection.h) on
+ * the exact code paths production uses: the same short-read loops, the
+ * same error classification, the same checksum verification.
  *
  * Error model: read()/seek()/size() throw util::TransientError for
  * failures worth retrying (EINTR/EAGAIN-class) and std::runtime_error
@@ -107,8 +107,9 @@ class StdioByteFile : public ByteFile
 
 /**
  * How trace consumers open files. The default opener returns a
- * StdioByteFile; tests substitute a fault-injecting opener (see
- * trace::FaultInjector::opener()).
+ * StdioByteFile; trace::fastOpener() picks a backend by read mode,
+ * trace::chaosOpener() wraps any opener with chaos fault injection,
+ * and tests may substitute a counting fake.
  */
 using FileOpener =
     std::function<std::unique_ptr<ByteFile>(const std::string &path)>;

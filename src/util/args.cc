@@ -6,7 +6,9 @@
 #include "util/args.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -53,17 +55,7 @@ ArgParser::addUint(const std::string &flag,
 {
     addOption(flag, valueName, help,
               [out, max](const std::string &value) {
-                  char *end = nullptr;
-                  errno = 0;
-                  const unsigned long long parsed =
-                      std::strtoull(value.c_str(), &end, 10);
-                  if (end == value.c_str() || *end != '\0'
-                      || errno != 0 || parsed > max
-                      || value.front() == '-') {
-                      throw std::runtime_error("malformed value: "
-                                               + value);
-                  }
-                  *out = parsed;
+                  *out = parseUint(value, max);
               });
 }
 
@@ -226,6 +218,37 @@ ArgParser::fail(const std::string &message) const
     std::cerr << "error: " << message << "\n"
               << "run '" << program_ << " --help' for usage\n";
     std::exit(2);
+}
+
+std::uint64_t
+parseUint(const std::string &text, std::uint64_t max)
+{
+    // strtoull would skip leading space and negate a leading '-'.
+    if (text.empty()
+        || !std::isdigit(static_cast<unsigned char>(text.front())))
+        throw std::runtime_error("malformed value: " + text);
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long parsed =
+        std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0' || errno != 0 || parsed > max) {
+        throw std::runtime_error("malformed value: " + text);
+    }
+    return parsed;
+}
+
+double
+parseProbability(const std::string &text)
+{
+    char *end = nullptr;
+    errno = 0;
+    const double parsed = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0' || errno != 0
+        || !std::isfinite(parsed) || parsed < 0.0 || parsed > 1.0) {
+        throw std::runtime_error("not a probability in [0, 1]: "
+                                 + text);
+    }
+    return parsed;
 }
 
 } // namespace util

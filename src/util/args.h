@@ -129,6 +129,22 @@ class ArgParser
     std::vector<std::string> extra_;
 };
 
+/**
+ * Parse @p text as an unsigned decimal no greater than @p max.
+ * @throws std::runtime_error on empty input, a sign, trailing junk, or
+ *         overflow
+ */
+std::uint64_t parseUint(const std::string &text,
+                        std::uint64_t max =
+                            std::numeric_limits<std::uint64_t>::max());
+
+/**
+ * Parse @p text as a probability.
+ * @throws std::runtime_error on empty input, trailing junk, a
+ *         non-finite value, or a value outside [0, 1]
+ */
+double parseProbability(const std::string &text);
+
 } // namespace util
 } // namespace vlp
 

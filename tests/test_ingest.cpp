@@ -12,12 +12,15 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -38,6 +41,7 @@
 #include "trace/text_io.h"
 #include "trace/trace_io.h"
 #include "util/cancel.h"
+#include "util/chaos.h"
 #include "util/checksum.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -61,7 +65,11 @@ class IngestHarness : public ::testing::Test
         fs::create_directories(directory_);
     }
 
-    void TearDown() override { fs::remove_all(directory_); }
+    void TearDown() override
+    {
+        util::chaos::disable();
+        fs::remove_all(directory_);
+    }
 
     std::string path(const std::string &name) const
     {
@@ -240,34 +248,84 @@ TEST_F(IngestHarness, ContentHashIsStableAndSensitive)
 
 // --- trace fault injection -------------------------------------------
 
-TEST_F(IngestHarness, EveryTraceFaultClassFiresUnderFixedSeed)
+/**
+ * Pin the chaos switchboard to @p sections: each activates, and fires
+ * on every reach with probability @p fire, as a pure function of
+ * @p seed and the file's basename.
+ */
+void
+pinChaos(std::vector<std::string> sections, double fire,
+         std::uint64_t seed)
 {
-    trace::saveTrace(makeTrace(13, 4000), path("victim.vbt"));
-    const std::uint64_t full_size = fs::file_size(path("victim.vbt"));
+    util::chaos::Config config;
+    config.enabled = true;
+    config.seed = seed;
+    config.activateProbability = 1.0;
+    config.fireProbability = fire;
+    config.only = std::move(sections);
+    util::chaos::configure(config);
+}
 
-    trace::FaultPlan plan;
-    plan.seed = 42;
-    plan.transientOpens = 2;
-    plan.transientReads = 2;
-    plan.shortReadProbability = 0.5;
-    plan.bitFlipProbability = 0.5;
-    plan.truncateAt = full_size - 1000;
-    trace::FaultInjector injector(plan);
-    const trace::FileOpener opener = injector.opener();
+/** How often @p section fired since the last configure(). */
+std::uint64_t
+fired(const std::string &section)
+{
+    const auto counters = util::chaos::counters();
+    const auto found = counters.find(section);
+    return found == counters.end() ? 0 : found->second.fired;
+}
 
-    // Drain the file through the injector with dumb retries, small
-    // reads so the probabilistic faults get many draws.
-    std::unique_ptr<trace::ByteFile> file;
+/** The raw bytes of the file at @p path. */
+std::vector<std::uint8_t>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Open through @p opener, retrying transient failures. */
+std::unique_ptr<trace::ByteFile>
+openRetrying(const trace::FileOpener &opener, const std::string &path)
+{
     for (;;) {
         try {
-            file = opener(path("victim.vbt"));
-            break;
+            return opener(path);
         } catch (const util::TransientError &) {
         }
     }
+}
+
+TEST_F(IngestHarness, EveryTraceFaultClassFiresUnderFixedSeed)
+{
+    trace::saveTrace(makeTrace(13, 4000), path("victim.vbt"));
+    const std::vector<std::uint8_t> expected =
+        fileBytes(path("victim.vbt"));
+
+    pinChaos({"trace.open.transient", "trace.read.transient",
+              "trace.read.short", "trace.view.refuse"},
+             0.5, 42);
+    const auto file = openRetrying(
+        trace::chaosOpener(trace::fastOpener(trace::ReadMode::Mmap)),
+        path("victim.vbt"));
+
+    // Drain with dumb retries and small reads so the probabilistic
+    // faults get many draws; ask for a view of each chunk first. A
+    // served view must show the file's bytes, and short reads must
+    // lose nothing.
+    std::vector<std::uint8_t> drained;
     std::uint8_t buffer[64];
-    std::uint64_t drained = 0;
     for (;;) {
+        if (drained.size() < expected.size()) {
+            const std::size_t window = std::min<std::size_t>(
+                sizeof(buffer), expected.size() - drained.size());
+            if (const std::uint8_t *view =
+                    file->view(drained.size(), window)) {
+                EXPECT_EQ(std::memcmp(view, &expected[drained.size()],
+                                      window),
+                          0);
+            }
+        }
         std::size_t got = 0;
         try {
             got = file->read(buffer, sizeof(buffer));
@@ -276,105 +334,66 @@ TEST_F(IngestHarness, EveryTraceFaultClassFiresUnderFixedSeed)
         }
         if (got == 0)
             break;
-        drained += got;
+        drained.insert(drained.end(), buffer, buffer + got);
     }
-    EXPECT_EQ(drained, plan.truncateAt);
+    EXPECT_EQ(drained, expected);
 
-    const trace::FaultCounters counters = injector.counters();
-    EXPECT_EQ(counters.transientOpens, plan.transientOpens);
-    EXPECT_EQ(counters.transientReads, plan.transientReads);
-    EXPECT_GT(counters.shortReads, 0u);
-    EXPECT_GT(counters.bitFlips, 0u);
-    EXPECT_EQ(counters.truncations, 1u);
+    for (const char *section :
+         {"trace.open.transient", "trace.read.transient",
+          "trace.read.short", "trace.view.refuse"})
+        EXPECT_GT(fired(section), 0u) << section;
 }
 
 TEST_F(IngestHarness, FaultStreamIsPerPathDeterministic)
 {
     trace::saveTrace(makeTrace(17, 1000), path("d.vbt"));
+    fs::create_directories(path("elsewhere"));
+    fs::copy_file(path("d.vbt"), path("elsewhere/d.vbt"));
 
-    const auto drain = [&](trace::FaultInjector &injector) {
-        const auto opener = injector.opener();
-        auto file = opener(path("d.vbt"));
-        std::vector<std::uint8_t> bytes;
+    // Read sizes per call (0 = transient failure) and the counters.
+    const auto drain = [](const std::string &file_path) {
+        pinChaos({"trace.read.transient", "trace.read.short"}, 0.3, 7);
+        const auto file =
+            trace::chaosOpener(trace::FileOpener{})(file_path);
+        std::vector<std::size_t> sizes;
         std::uint8_t buffer[256];
         for (;;) {
-            const std::size_t got = file->read(buffer, sizeof(buffer));
+            std::size_t got = 0;
+            try {
+                got = file->read(buffer, sizeof(buffer));
+            } catch (const util::TransientError &) {
+                sizes.push_back(0);
+                continue;
+            }
             if (got == 0)
                 break;
-            bytes.insert(bytes.end(), buffer, buffer + got);
+            sizes.push_back(got);
         }
-        return bytes;
+        return std::make_pair(sizes, util::chaos::counters());
     };
 
-    trace::FaultPlan plan;
-    plan.seed = 7;
-    plan.shortReadProbability = 0.3;
-    plan.bitFlipProbability = 0.3;
-    trace::FaultInjector first(plan);
-    trace::FaultInjector second(plan);
-    // Same seed, same path, same read sizes -> bitwise-identical
-    // corrupted stream, independent of injector instance.
-    EXPECT_EQ(drain(first), drain(second));
-}
-
-TEST_F(IngestHarness, InjectedTruncationIsCaughtByHeaderCheck)
-{
-    trace::saveTrace(makeTrace(19, 300), path("t.vbt"));
-    trace::FaultPlan plan;
-    plan.truncateAt = fs::file_size(path("t.vbt")) / 2;
-    trace::FaultInjector injector(plan);
-    EXPECT_THROW(trace::StreamingTraceReader reader(
-                     injector.opener()(path("t.vbt"))),
-                 std::runtime_error);
-}
-
-TEST_F(IngestHarness, ServedViewBitFlipIsCaughtByChecksum)
-{
-    trace::saveTrace(makeTrace(23, 2000), path("v.vbt"));
-
-    // With views served and every served view carrying a flipped bit,
-    // the zero-copy decode path must fail the stream checksum — the
-    // same guarantee the read() path already proves.
-    trace::FaultPlan plan;
-    plan.seed = 5;
-    plan.serveViews = true;
-    plan.viewBitFlipProbability = 1.0;
-    trace::FaultInjector injector(plan);
-
-    trace::StreamingTraceReader reader(
-        injector.opener()(path("v.vbt")), 64);
-    trace::BranchRecord record;
-    EXPECT_THROW(
-        {
-            while (reader.next(record)) {
-            }
-        },
-        std::runtime_error);
-    EXPECT_GT(injector.counters().viewBitFlips, 0u);
-
-    // The flip lived in the injector's buffer, never in the file:
-    // a clean open replays the trace intact.
-    trace::StreamingTraceReader clean(path("v.vbt"), 64);
-    std::size_t records = 0;
-    while (clean.next(record))
-        ++records;
-    EXPECT_EQ(records, 2000u);
+    // Same seed, same path -> the same fault sequence, independent of
+    // the switchboard's history; the identity is the basename, so a
+    // copy elsewhere replays it too.
+    const auto first = drain(path("d.vbt"));
+    EXPECT_EQ(drain(path("d.vbt")), first);
+    EXPECT_EQ(drain(path("elsewhere/d.vbt")), first);
+    EXPECT_GT(first.second.at("trace.read.short").fired, 0u);
+    EXPECT_GT(first.second.at("trace.read.transient").fired, 0u);
 }
 
 TEST_F(IngestHarness, RefusedViewsFallBackToBufferedReads)
 {
     trace::saveTrace(makeTrace(29, 1500), path("r.vbt"));
 
-    // Every view refused mid-stream: the reader must silently fall
-    // back to read() and still decode the identical record sequence.
-    trace::FaultPlan plan;
-    plan.seed = 6;
-    plan.serveViews = true;
-    plan.shortViewProbability = 1.0;
-    trace::FaultInjector injector(plan);
-
+    // Every view of a mapped file refused mid-stream: the reader must
+    // silently fall back to read() and still decode the identical
+    // record sequence.
+    pinChaos({"trace.view.refuse"}, 1.0, 6);
     trace::StreamingTraceReader faulty(
-        injector.opener()(path("r.vbt")), 64);
+        trace::chaosOpener(trace::fastOpener(trace::ReadMode::Mmap))(
+            path("r.vbt")),
+        64);
     trace::StreamingTraceReader clean(path("r.vbt"), 64);
     trace::BranchRecord got, want;
     for (;;) {
@@ -384,7 +403,7 @@ TEST_F(IngestHarness, RefusedViewsFallBackToBufferedReads)
             break;
         ASSERT_EQ(got, want);
     }
-    EXPECT_GT(injector.counters().shortViews, 0u);
+    EXPECT_GT(fired("trace.view.refuse"), 0u);
 }
 
 // --- on-disk corpus corruption ---------------------------------------
@@ -637,36 +656,32 @@ TEST_F(SuiteHarness, ReportIsIdenticalAcrossJobCounts)
 
 TEST_F(SuiteHarness, TransientFaultsAreRetriedToSuccess)
 {
-    // One failed open plus one failed read per path: three attempts
-    // suffice, within the default budget of four.
-    trace::FaultPlan plan;
-    plan.transientOpens = 1;
-    plan.transientReads = 1;
-    trace::FaultInjector injector(plan);
+    sim::TraceSuiteRunner clean(baseOptions());
+    const std::string clean_report = render(clean.run());
 
+    // Seed 3 at p = 0.1 fails opens and reads now and then, but never
+    // four times in a row on one trace: every fault is retried within
+    // the default budget. The runner wraps its opener in chaosOpener
+    // itself, exactly as under `vlpsim --chaos`.
+    pinChaos({"trace.open.transient", "trace.read.transient"}, 0.1, 3);
     auto options = baseOptions();
-    options.opener = injector.opener();
     std::uint64_t naps = 0;
     options.sleeper = [&naps](unsigned) { ++naps; };
     sim::TraceSuiteRunner faulty(std::move(options));
     const std::string faulty_report = render(faulty.run());
 
     EXPECT_GT(naps, 0u);
-    EXPECT_GT(injector.counters().transientOpens, 0u);
-
+    EXPECT_GT(fired("trace.open.transient"), 0u);
+    EXPECT_GT(fired("trace.read.transient"), 0u);
     // Transient faults change nothing about the final report.
-    sim::TraceSuiteRunner clean(baseOptions());
-    EXPECT_EQ(faulty_report, render(clean.run()));
+    EXPECT_EQ(faulty_report, clean_report);
 }
 
 TEST_F(SuiteHarness, PersistentTransientFaultsQuarantine)
 {
-    trace::FaultPlan plan;
-    plan.transientOpens = 1000; // never succeeds within the budget
-    trace::FaultInjector injector(plan);
+    pinChaos({"trace.open.transient"}, 1.0, 1); // never opens
 
     auto options = baseOptions();
-    options.opener = injector.opener();
     options.maxAttempts = 3;
     sim::TraceSuiteRunner runner(std::move(options));
     const sim::SuiteReport report = runner.run();
@@ -1094,14 +1109,11 @@ TEST_F(IngestHarness, BackoffDelayIsClampedForHugeAttemptBudgets)
     // Every open fails transiently, exhausting a 40-attempt budget:
     // before the clamp, attempt 33 shifted a 32-bit base by 32 —
     // undefined behavior that UBSan flags in sanitizer builds.
-    trace::FaultPlan plan;
-    plan.transientOpens = 1000;
-    trace::FaultInjector injector(plan);
+    pinChaos({"trace.open.transient"}, 1.0, 1);
 
     sim::TraceSuiteOptions options;
     options.directory = path("corpus");
     options.bytes = 1024;
-    options.opener = injector.opener();
     options.maxAttempts = 40;
     options.backoffBaseMs = 3;
     options.backoffMaxMs = 24;
@@ -1562,23 +1574,20 @@ TEST_F(SuiteHarness, ReportIsIdenticalAcrossPrefetchWindows)
 
 TEST_F(SuiteHarness, TransientFaultsAreRetriedToSuccessUnderMmap)
 {
-    trace::FaultPlan plan;
-    plan.transientOpens = 1;
-    plan.transientReads = 1;
-    trace::FaultInjector injector(plan);
+    sim::TraceSuiteRunner clean(baseOptions());
+    const std::string clean_report = render(clean.run());
 
+    // The same faults injected *over the mmap fast path*: retries
+    // reopen the mapping and the report is still the clean one.
+    pinChaos({"trace.open.transient", "trace.read.transient"}, 0.1, 3);
     auto options = baseOptions();
-    // Faults injected *over the mmap fast path*: FaultyFile exposes no
-    // view(), so the reader must degrade to buffered reads and still
-    // produce the clean report.
-    options.opener =
-        injector.opener(trace::fastOpener(trace::ReadMode::Mmap));
+    options.readMode = trace::ReadMode::Mmap;
     sim::TraceSuiteRunner faulty(std::move(options));
     const std::string faulty_report = render(faulty.run());
 
-    EXPECT_GT(injector.counters().transientOpens, 0u);
-    sim::TraceSuiteRunner clean(baseOptions());
-    EXPECT_EQ(faulty_report, render(clean.run()));
+    EXPECT_GT(fired("trace.open.transient"), 0u);
+    EXPECT_GT(fired("trace.read.transient"), 0u);
+    EXPECT_EQ(faulty_report, clean_report);
 }
 
 } // anonymous namespace

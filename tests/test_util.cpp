@@ -490,6 +490,27 @@ TEST(ArgParserDeathTest, MalformedValueExitsTwo)
     EXPECT_EXIT(run(), ::testing::ExitedWithCode(2), "--jobs");
 }
 
+TEST(ArgParser, ParseHelpersAcceptOnlyWellFormedValues)
+{
+    EXPECT_EQ(parseUint("0"), 0u);
+    EXPECT_EQ(parseUint("18446744073709551615"), ~std::uint64_t{0});
+    EXPECT_EQ(parseUint("4096", 4096), 4096u);
+    EXPECT_THROW(parseUint("4097", 4096), std::runtime_error);
+    for (const char *bad :
+         {"", " 1", "+1", "-1", "12x", "0x10", "18446744073709551616"})
+        EXPECT_THROW(parseUint(bad), std::runtime_error)
+            << '"' << bad << '"';
+
+    EXPECT_DOUBLE_EQ(parseProbability("0"), 0.0);
+    EXPECT_DOUBLE_EQ(parseProbability("1"), 1.0);
+    EXPECT_DOUBLE_EQ(parseProbability("0.25"), 0.25);
+    EXPECT_DOUBLE_EQ(parseProbability("1e-1"), 0.1);
+    for (const char *bad : {"", "abc", "nope", "0.5x", "nan", "inf",
+                            "-0.1", "1.5", "3.5", "-2"})
+        EXPECT_THROW(parseProbability(bad), std::runtime_error)
+            << '"' << bad << '"';
+}
+
 // --- retry policy ----------------------------------------------------
 
 /** Run retryTransient with @p failures leading TransientErrors and

@@ -559,8 +559,8 @@ runServeCampaign(const ChaosArgs &args, const fs::path &work,
     options.sendTimeoutMs = 5000;
     options.finishedWindow = 2 * args.requests + 16;
     options.cacheDirectory = (work / "serve-store").string();
-    options.chaos = campaignConfig(args);
     serve::ExperimentServer server(std::move(options));
+    util::chaos::configure(campaignConfig(args));
     server.start();
 
     std::vector<std::uint64_t> accepted_ids;
@@ -778,15 +778,13 @@ cmdChaos(int argc, char **argv)
                      "per-run section activation probability "
                      "(default 0.75)",
                      [&args](const std::string &value) {
-                         args.activate =
-                             std::strtod(value.c_str(), nullptr);
+                         args.activate = util::parseProbability(value);
                      });
     parser.addOption("--fire", "P",
                      "per-reach fire probability for activated "
                      "sections (default 0.25)",
                      [&args](const std::string &value) {
-                         args.fire =
-                             std::strtod(value.c_str(), nullptr);
+                         args.fire = util::parseProbability(value);
                      });
     parser.addUint("--jobs", "N",
                    "suite campaign worker threads (default 2)", &jobs,

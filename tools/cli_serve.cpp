@@ -112,10 +112,6 @@ cmdServe(int argc, char **argv)
     std::uint64_t max_inflight = 64u << 20;
     std::uint64_t max_jobs = 0;
     std::uint64_t heartbeat_ms = 1000;
-    bool chaos_enabled = false;
-    std::uint64_t chaos_seed = 1;
-    double chaos_activate = 0.25;
-    double chaos_fire = 0.25;
     parser.addString("--listen", "EP",
                      "listen endpoint: host:port, :port, or a Unix "
                      "socket path (default 127.0.0.1:7711; port 0 "
@@ -140,34 +136,6 @@ cmdServe(int argc, char **argv)
                    "heartbeat period for running requests "
                    "(default 1000; 0 disables)",
                    &heartbeat_ms, 3'600'000);
-    parser.addSwitch("--chaos",
-                     "arm the fault-injection switchboard for this "
-                     "daemon (DESIGN.md §16)",
-                     &chaos_enabled);
-    parser.addOption("--chaos-seed", "N",
-                     "chaos campaign seed (default 1; implies "
-                     "--chaos)",
-                     [&](const std::string &value) {
-                         chaos_enabled = true;
-                         chaos_seed =
-                             std::strtoull(value.c_str(), nullptr, 0);
-                     });
-    parser.addOption("--chaos-activate", "P",
-                     "per-run section activation probability "
-                     "(default 0.25; implies --chaos)",
-                     [&](const std::string &value) {
-                         chaos_enabled = true;
-                         chaos_activate =
-                             std::strtod(value.c_str(), nullptr);
-                     });
-    parser.addOption("--chaos-fire", "P",
-                     "per-reach fire probability for activated "
-                     "sections (default 0.25; implies --chaos)",
-                     [&](const std::string &value) {
-                         chaos_enabled = true;
-                         chaos_fire =
-                             std::strtod(value.c_str(), nullptr);
-                     });
     registerLogLevel(parser);
     sim::RunOptions run;
     run.registerCacheFlags(parser);
@@ -188,12 +156,6 @@ cmdServe(int argc, char **argv)
     if (run.cacheEnabled()) {
         options.cacheDirectory = run.cacheDirectory;
         options.cacheMaxBytes = run.cacheMaxBytes;
-    }
-    if (chaos_enabled) {
-        options.chaos.enabled = true;
-        options.chaos.seed = chaos_seed;
-        options.chaos.activateProbability = chaos_activate;
-        options.chaos.fireProbability = chaos_fire;
     }
 
     serve::ExperimentServer server(std::move(options));

@@ -93,7 +93,8 @@
  * versions), --log-level LEVEL (also VLPSIM_LOG_LEVEL), and the
  * chaos switchboard knobs --chaos / --chaos-seed N /
  * --chaos-activate P / --chaos-fire P (DESIGN.md §16), which arm
- * fault injection process-wide before the subcommand runs. The
+ * fault injection process-wide before the subcommand runs (the serve
+ * daemon included); a malformed seed or probability exits 2. The
  * subcommand table below generates the top-level help.
  */
 
@@ -883,24 +884,24 @@ main(int argc, char **argv)
             argc -= 1;
             continue;
         }
-        if (flag == "--chaos-seed" && argc >= 3) {
+        if ((flag == "--chaos-seed" || flag == "--chaos-activate"
+             || flag == "--chaos-fire")
+            && argc >= 3) {
+            try {
+                if (flag == "--chaos-seed")
+                    chaos_config.seed = util::parseUint(argv[2]);
+                else if (flag == "--chaos-activate")
+                    chaos_config.activateProbability =
+                        util::parseProbability(argv[2]);
+                else
+                    chaos_config.fireProbability =
+                        util::parseProbability(argv[2]);
+            } catch (const std::exception &error) {
+                std::cerr << "error: " << flag << ": " << error.what()
+                          << "\n";
+                return 2;
+            }
             chaos_config.enabled = true;
-            chaos_config.seed = std::strtoull(argv[2], nullptr, 0);
-            argv += 2;
-            argc -= 2;
-            continue;
-        }
-        if (flag == "--chaos-activate" && argc >= 3) {
-            chaos_config.enabled = true;
-            chaos_config.activateProbability =
-                std::strtod(argv[2], nullptr);
-            argv += 2;
-            argc -= 2;
-            continue;
-        }
-        if (flag == "--chaos-fire" && argc >= 3) {
-            chaos_config.enabled = true;
-            chaos_config.fireProbability = std::strtod(argv[2], nullptr);
             argv += 2;
             argc -= 2;
             continue;
