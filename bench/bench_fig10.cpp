@@ -48,13 +48,15 @@ main(int argc, char **argv)
 
         const std::vector<std::size_t> sizes = {512, 2048, 8192,
                                                 32768};
+        std::vector<unsigned> globals;
+        for (const std::size_t bytes : sizes)
+            globals.push_back(runner.globalIndirectLength(bytes));
         const auto points = runner.map<SizePoint>(
             sizes.size(),
             [&](sim::ExperimentContext &context, std::size_t i) {
                 const std::size_t bytes = sizes[i];
                 SizePoint point;
-                point.globalLength =
-                    context.globalIndirectLength(bytes);
+                point.globalLength = globals[i];
                 point.tunedLength =
                     context
                         .indirectSweep(spec,

@@ -34,7 +34,7 @@ main(int argc, char **argv)
 
         const auto &suite = workload::benchmarkSuite();
         const auto rows =
-            runner.compareIndirectSuite(suite, bytes, global_length);
+            runner.compareSuite(suite, bytes, global_length, true);
 
         for (const bool spec_group : {true, false}) {
             sim::Section &section = report.addSection(

@@ -34,17 +34,18 @@ main(int argc, char **argv)
                            {"global len"},
                            {"tuned len"}};
 
-        // Each table size is an independent full-suite sweep plus a
-        // gcc comparison, so the shard unit here is the size, not
-        // the benchmark; rows come back in size order.
+        // The global lengths shard the suite sweeps by benchmark;
+        // the gcc comparisons then shard by size, rows in size order.
         const std::vector<std::size_t> sizes = {1024, 4096, 16384,
                                                 65536, 262144};
+        std::vector<unsigned> globals;
+        for (const std::size_t bytes : sizes)
+            globals.push_back(runner.globalConditionalLength(bytes));
         const auto rows = runner.map<std::vector<sim::Cell>>(
             sizes.size(),
             [&](sim::ExperimentContext &context, std::size_t i) {
                 const std::size_t bytes = sizes[i];
-                const unsigned global_length =
-                    context.globalConditionalLength(bytes);
+                const unsigned global_length = globals[i];
                 const unsigned tuned_length =
                     context
                         .conditionalSweep(

@@ -30,14 +30,14 @@ main(int argc, char **argv)
         // experiments, so they form a two-item shard; each worker
         // renders its block to a string and the blocks print in
         // fixed order.
+        const unsigned cond_length = runner.globalConditionalLength(4096);
+        const unsigned ind_length = runner.globalIndirectLength(512);
         const auto blocks = runner.map<std::string>(
             2, [&](sim::ExperimentContext &context, std::size_t i) {
                 std::ostringstream out;
                 if (i == 0) {
-                    const unsigned global_length =
-                        context.globalConditionalLength(4096);
                     const auto row = sim::compareConditional(
-                        context, spec, 4096, global_length);
+                        context, spec, 4096, cond_length);
                     for (const auto &entry : row.entries)
                         runner.addPredictions(entry.branches);
                     out << "\nconditional, 4K bytes:\n"
@@ -50,10 +50,8 @@ main(int argc, char **argv)
                                row.entry(sim::names::vlp).rate)
                         << "%   (paper: 4.3%)\n";
                 } else {
-                    const unsigned global_length =
-                        context.globalIndirectLength(512);
                     const auto row = sim::compareIndirect(
-                        context, spec, 512, global_length);
+                        context, spec, 512, ind_length);
                     for (const auto &entry : row.entries)
                         runner.addPredictions(entry.branches);
                     const auto &path =

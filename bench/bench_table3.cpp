@@ -46,7 +46,7 @@ main(int argc, char **argv)
         for (const auto &name : workload::indirectHeavyNames())
             specs.push_back(workload::findBenchmark(name));
         const auto rows =
-            runner.compareIndirectSuite(specs, bytes, global_length);
+            runner.compareSuite(specs, bytes, global_length, true);
 
         sim::Section &section = report.addSection("indirect-heavy");
         section.columns = {{"Benchmark"},     {"path (%)"},

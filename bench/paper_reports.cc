@@ -28,8 +28,7 @@ buildTable2(sim::ParallelRunner &runner, sim::Report &report)
                                      262144};
         const unsigned paper_lengths[] = {6, 9, 14, 16, 23};
         for (unsigned i = 0; i < 5; ++i) {
-            const auto average =
-                runner.averageConditionalSweep(sizes[i]);
+            const auto average = runner.averageSweep(sizes[i], false);
             const unsigned best =
                 runner.globalConditionalLength(sizes[i]);
             section.addRow(std::to_string(sizes[i]),
@@ -51,8 +50,7 @@ buildTable2(sim::ParallelRunner &runner, sim::Report &report)
         const std::size_t sizes[] = {512, 2048, 8192, 32768};
         const unsigned paper_lengths[] = {11, 21, 21, 21};
         for (unsigned i = 0; i < 4; ++i) {
-            const auto average =
-                runner.averageIndirectSweep(sizes[i]);
+            const auto average = runner.averageSweep(sizes[i], true);
             const unsigned best =
                 runner.globalIndirectLength(sizes[i]);
             section.addRow(std::to_string(sizes[i]),
@@ -82,7 +80,7 @@ buildFig5_6(sim::ParallelRunner &runner, sim::Report &report)
     // come back in suite order regardless of scheduling.
     const auto &suite = workload::benchmarkSuite();
     const auto rows =
-        runner.compareConditionalSuite(suite, bytes, global_length);
+        runner.compareSuite(suite, bytes, global_length, false);
 
     double total_reduction = 0.0;
     double worst_reduction = 1e9, best_reduction = -1e9;

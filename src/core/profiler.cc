@@ -46,6 +46,33 @@ FixedLengthSweep::bestLength() const
     return best;
 }
 
+SuiteAverage
+averageSweeps(const std::vector<FixedLengthSweep> &sweeps, bool indirect)
+{
+    SuiteAverage average;
+    average.rates.assign(maxPathLength, 0.0);
+    unsigned counted = 0;
+    for (const FixedLengthSweep &sweep : sweeps) {
+        if (sweep.branches < minimumSweepBranches(indirect))
+            continue;
+        ++counted;
+        for (unsigned length = sweep.minLength;
+             length <= sweep.mispredictions.size(); ++length) {
+            average.rates[length - 1] += sweep.rate(length);
+        }
+    }
+    if (counted == 0)
+        return average;
+    for (double &rate : average.rates)
+        rate /= static_cast<double>(counted);
+    average.length = 1;
+    for (unsigned length = 2; length <= maxPathLength; ++length) {
+        if (average.rates[length - 1] < average.rates[average.length - 1])
+            average.length = length;
+    }
+    return average;
+}
+
 namespace {
 
 void
@@ -143,10 +170,10 @@ struct ShardResult
 };
 
 /**
- * Step-1 table bank for conditional branches: every shard length's
- * 2-bit-counter table, packed back to back in one PackedCounterTable
- * (4 KiB per 14-bit table, so even the full 32-length bank stays
- * L2-resident).
+ * Step-1 table bank (and step-2 predictor) for conditional branches:
+ * every shard length's 2-bit-counter table, packed back to back in
+ * one PackedCounterTable (4 KiB per 14-bit table, so even the full
+ * 32-length bank stays L2-resident).
  *
  * accessAll() predicts, updates, and tallies every shard length for
  * one dynamic branch. On x86-64 hosts with AVX-512 it runs a
@@ -171,10 +198,19 @@ class ConditionalStep1Tables
 #endif
     }
 
+    /** The step-2 predictor for this branch class. */
+    using Predictor = PathConditionalPredictor;
+
     static bool
     profiled(const trace::BranchRecord &record)
     {
         return record.isConditional();
+    }
+
+    static bool
+    mispredicted(Predictor &predictor, const trace::BranchRecord &record)
+    {
+        return predictor.predict(record) != record.taken;
     }
 
     /**
@@ -324,9 +360,10 @@ class ConditionalStep1Tables
 };
 
 /**
- * Step-1 table bank for indirect branches: per-length tables of
- * 32-bit target registers, packed back to back. Indirect branches are
- * a small fraction of a trace, so the scalar loop suffices.
+ * Step-1 table bank (and step-2 predictor) for indirect branches:
+ * per-length tables of 32-bit target registers, packed back to back.
+ * Indirect branches are a small fraction of a trace, so the scalar
+ * loop suffices.
  */
 class IndirectStep1Tables
 {
@@ -337,10 +374,18 @@ class IndirectStep1Tables
     {
     }
 
+    using Predictor = PathIndirectPredictor;
+
     static bool
     profiled(const trace::BranchRecord &record)
     {
         return record.isIndirect();
+    }
+
+    static bool
+    mispredicted(Predictor &predictor, const trace::BranchRecord &record)
+    {
+        return predictor.predict(record) != record.nextPc;
     }
 
     /** See ConditionalStep1Tables::accessAll(). */
@@ -537,54 +582,39 @@ runStep1Sharded(trace::TraceSource &profile_trace,
     }
 }
 
-} // anonymous namespace
-
-ConditionalProfiler::ConditionalProfiler(ProfileOptions options)
-    : options_(options)
-{
-    validateOptions(options_);
-}
-
-const FixedLengthSweep &
-ConditionalProfiler::runStep1(trace::TraceSource &profile_trace)
-{
-    // One private table per hash function (step 1 of Section 3.5),
-    // packed and length-sharded; see the kernel comment above.
-    FixedLengthSweep sweep;
-    profiles_.clear();
-    runStep1Sharded<ConditionalStep1Tables>(profile_trace, options_,
-                                            sweep, profiles_);
-    sweep_ = std::move(sweep);
-    step1Done_ = true;
-    return sweep_;
-}
-
+/**
+ * Step 2 over @p profile_trace: each iteration replays the trace with
+ * a variable length path predictor built from the selector's next
+ * assignment and records the per-branch misses.
+ */
+template <typename Tables>
 HashAssignment
-ConditionalProfiler::runStep2(trace::TraceSource &profile_trace)
+runStep2Iterations(trace::TraceSource &profile_trace,
+                   const ProfileOptions &options,
+                   const FixedLengthSweep &sweep,
+                   const std::unordered_map<std::uint64_t, BranchProfile>
+                       &profiles)
 {
-    if (!step1Done_)
-        util::fatal("profiler step 2 requires step 1 to have run");
-    CandidateSelector selector(profiles_, sweep_, options_.candidates,
-                               options_.maxLength);
+    CandidateSelector selector(profiles, sweep, options.candidates,
+                               options.maxLength);
 
     // One miss map reused across iterations, sized for the worst case
     // (every profiled branch mispredicts at least once), so the hot
     // counting loop never rehashes or reallocates.
     std::unordered_map<std::uint64_t, std::uint64_t> misses;
-    misses.reserve(profiles_.size());
-    for (unsigned iteration = 0; iteration < options_.iterations;
+    misses.reserve(profiles.size());
+    for (unsigned iteration = 0; iteration < options.iterations;
          ++iteration) {
         const HashAssignment assignment = selector.nextAssignment();
-        PathConditionalPredictor predictor(options_.indexBits,
-                                           assignment,
-                                           historyFor(options_));
+        typename Tables::Predictor predictor(
+            options.indexBits, assignment, historyFor(options));
         misses.clear();
 
         profile_trace.reset();
         trace::BranchRecord record;
         while (profile_trace.next(record)) {
-            if (record.isConditional()) {
-                if (predictor.predict(record) != record.taken)
+            if (Tables::profiled(record)) {
+                if (Tables::mispredicted(predictor, record))
                     ++misses[record.pc];
                 predictor.update(record);
             }
@@ -595,105 +625,62 @@ ConditionalProfiler::runStep2(trace::TraceSource &profile_trace)
     return selector.finalAssignment();
 }
 
-HashAssignment
-ConditionalProfiler::profile(trace::TraceSource &profile_trace)
-{
-    runStep1(profile_trace);
-    return runStep2(profile_trace);
-}
-
-namespace {
-
-/** Shared restoreStep1() sanity check. */
-void
-validateRestoredSweep(const FixedLengthSweep &sweep,
-                      const ProfileOptions &options)
-{
-    if (sweep.mispredictions.size() != options.maxLength
-        || sweep.minLength != options.minLength) {
-        util::fatal("restored step-1 sweep does not match the "
-                    "profiler's configured length range");
-    }
-}
-
 } // anonymous namespace
 
-void
-ConditionalProfiler::restoreStep1(
-        FixedLengthSweep sweep,
-        std::unordered_map<std::uint64_t, BranchProfile> profiles)
-{
-    validateRestoredSweep(sweep, options_);
-    sweep_ = std::move(sweep);
-    profiles_ = std::move(profiles);
-    step1Done_ = true;
-}
-
-IndirectProfiler::IndirectProfiler(ProfileOptions options)
-    : options_(options)
+Profiler::Profiler(ProfileOptions options, bool indirect)
+    : options_(options), indirect_(indirect)
 {
     validateOptions(options_);
 }
 
 const FixedLengthSweep &
-IndirectProfiler::runStep1(trace::TraceSource &profile_trace)
+Profiler::runStep1(trace::TraceSource &profile_trace)
 {
+    // One private table per hash function (step 1 of Section 3.5),
+    // packed and length-sharded; see the kernel comment above.
     FixedLengthSweep sweep;
     profiles_.clear();
-    runStep1Sharded<IndirectStep1Tables>(profile_trace, options_,
-                                         sweep, profiles_);
+    if (indirect_) {
+        runStep1Sharded<IndirectStep1Tables>(profile_trace, options_,
+                                             sweep, profiles_);
+    } else {
+        runStep1Sharded<ConditionalStep1Tables>(profile_trace, options_,
+                                                sweep, profiles_);
+    }
     sweep_ = std::move(sweep);
     step1Done_ = true;
     return sweep_;
 }
 
 HashAssignment
-IndirectProfiler::runStep2(trace::TraceSource &profile_trace)
+Profiler::runStep2(trace::TraceSource &profile_trace)
 {
     if (!step1Done_)
         util::fatal("profiler step 2 requires step 1 to have run");
-    CandidateSelector selector(profiles_, sweep_, options_.candidates,
-                               options_.maxLength);
-
-    // As in ConditionalProfiler::runStep2: one pre-sized miss map
-    // reused across iterations.
-    std::unordered_map<std::uint64_t, std::uint64_t> misses;
-    misses.reserve(profiles_.size());
-    for (unsigned iteration = 0; iteration < options_.iterations;
-         ++iteration) {
-        const HashAssignment assignment = selector.nextAssignment();
-        PathIndirectPredictor predictor(options_.indexBits, assignment,
-                                        historyFor(options_));
-        misses.clear();
-
-        profile_trace.reset();
-        trace::BranchRecord record;
-        while (profile_trace.next(record)) {
-            if (record.isIndirect()) {
-                if (predictor.predict(record) != record.nextPc)
-                    ++misses[record.pc];
-                predictor.update(record);
-            }
-            predictor.observe(record);
-        }
-        selector.recordResults(assignment, misses);
-    }
-    return selector.finalAssignment();
+    return indirect_
+        ? runStep2Iterations<IndirectStep1Tables>(profile_trace, options_,
+                                                  sweep_, profiles_)
+        : runStep2Iterations<ConditionalStep1Tables>(
+              profile_trace, options_, sweep_, profiles_);
 }
 
 HashAssignment
-IndirectProfiler::profile(trace::TraceSource &profile_trace)
+Profiler::profile(trace::TraceSource &profile_trace)
 {
     runStep1(profile_trace);
     return runStep2(profile_trace);
 }
 
 void
-IndirectProfiler::restoreStep1(
+Profiler::restoreStep1(
         FixedLengthSweep sweep,
         std::unordered_map<std::uint64_t, BranchProfile> profiles)
 {
-    validateRestoredSweep(sweep, options_);
+    if (sweep.mispredictions.size() != options_.maxLength
+        || sweep.minLength != options_.minLength) {
+        util::fatal("restored step-1 sweep does not match the "
+                    "profiler's configured length range");
+    }
     sweep_ = std::move(sweep);
     profiles_ = std::move(profiles);
     step1Done_ = true;

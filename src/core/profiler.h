@@ -99,6 +99,38 @@ struct FixedLengthSweep
     unsigned bestLength() const;
 };
 
+/**
+ * Fewest profiled branches a sweep needs to count toward a suite
+ * average: any for conditional sweeps, 1000 for indirect ones (a
+ * program with a handful of indirect branches contributes noise, not
+ * signal).
+ */
+inline std::uint64_t
+minimumSweepBranches(bool indirect)
+{
+    return indirect ? 1000 : 1;
+}
+
+/** A suite-average step-1 rate curve and the length it selects. */
+struct SuiteAverage
+{
+    /** rates[L-1]: mean misprediction rate (%) at path length L over
+     *  the counted sweeps; all zero when none counted. */
+    std::vector<double> rates;
+    /** Length with the lowest mean rate (ties: shortest); 0 when no
+     *  sweep counted. */
+    unsigned length = 0;
+};
+
+/**
+ * The global fixed path length rule (Section 5.1, Table 2): average
+ * the step-1 rate curves of @p sweeps in the given order, counting
+ * only sweeps with at least minimumSweepBranches(indirect) branches,
+ * and take the length with the lowest average.
+ */
+SuiteAverage averageSweeps(const std::vector<FixedLengthSweep> &sweeps,
+                           bool indirect);
+
 /** Per-static-branch step-1 profile record. */
 struct BranchProfile
 {
@@ -132,12 +164,17 @@ struct BranchProfile
 };
 
 /**
- * Profiles conditional branches and produces a HashAssignment.
+ * Runs the two-step heuristic for one branch class and produces a
+ * HashAssignment. Conditional profiling simulates 2-bit counter
+ * tables and path conditional predictors; indirect profiling (jumps
+ * and calls, returns excluded) simulates target tables and path
+ * indirect predictors. Everything else — the length-sharded step 1,
+ * candidate selection, and the step-2 iterations — is shared.
  */
-class ConditionalProfiler
+class Profiler
 {
   public:
-    explicit ConditionalProfiler(ProfileOptions options);
+    Profiler(ProfileOptions options, bool indirect);
 
     /**
      * Step 1: simulate the N fixed-length predictors, populating the
@@ -182,64 +219,24 @@ class ConditionalProfiler
     /** The options this profiler was constructed with. */
     const ProfileOptions &options() const { return options_; }
 
+    /** True when this profiler profiles indirect branches. */
+    bool indirect() const { return indirect_; }
+
   private:
     ProfileOptions options_;
+    bool indirect_;
     std::unordered_map<std::uint64_t, BranchProfile> profiles_;
     FixedLengthSweep sweep_;
     bool step1Done_ = false;
 };
 
 /**
- * Profiles indirect branches (jumps and calls; returns excluded) and
- * produces a HashAssignment.
- */
-class IndirectProfiler
-{
-  public:
-    explicit IndirectProfiler(ProfileOptions options);
-
-    /** Step 1: simulate the N fixed-length predictors. */
-    const FixedLengthSweep &runStep1(trace::TraceSource &profile_trace);
-
-    /** Step 2: iterate candidate selection (requires runStep1()). */
-    HashAssignment runStep2(trace::TraceSource &profile_trace);
-
-    /** Run both steps and return the assignment. */
-    HashAssignment profile(trace::TraceSource &profile_trace);
-
-    /** Aggregate sweep from the last runStep1(). */
-    const FixedLengthSweep &step1Sweep() const { return sweep_; }
-
-    /** Per-branch step-1 records from the last runStep1(). */
-    const std::unordered_map<std::uint64_t, BranchProfile> &
-    branchProfiles() const
-    {
-        return profiles_;
-    }
-
-    /** Adopt step-1 results computed earlier (see
-     *  ConditionalProfiler::restoreStep1()). */
-    void restoreStep1(
-        FixedLengthSweep sweep,
-        std::unordered_map<std::uint64_t, BranchProfile> profiles);
-
-    /** The options this profiler was constructed with. */
-    const ProfileOptions &options() const { return options_; }
-
-  private:
-    ProfileOptions options_;
-    std::unordered_map<std::uint64_t, BranchProfile> profiles_;
-    FixedLengthSweep sweep_;
-    bool step1Done_ = false;
-};
-
-/**
- * Shared by both profilers: turn step-1 per-branch records into
- * candidate lists, run step 2 with the given simulation callback, and
+ * Profiler's step-2 bookkeeping: turn step-1 per-branch records into
+ * candidate lists, pick the assignment each iteration tests, and
  * assemble the final assignment.
  *
  * Exposed for white-box testing; regular users call
- * ConditionalProfiler::profile() / IndirectProfiler::profile().
+ * Profiler::profile().
  */
 class CandidateSelector
 {

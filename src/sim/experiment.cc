@@ -5,7 +5,8 @@
 
 #include "sim/experiment.h"
 
-#include <algorithm>
+#include <functional>
+#include <memory>
 #include <optional>
 
 #include "core/path_predictor.h"
@@ -184,68 +185,86 @@ ExperimentContext::openExternal(const ExternalTrace &trace) const
         std::move(file), trace.chunkRecords);
 }
 
-ExperimentContext::Key
-ExperimentContext::makeKey(const std::string &name, unsigned index_bits,
-                           bool indirect,
-                           core::PathHistoryOptions history)
+/** What the profiling cache needs to know about a profile input. */
+struct ExperimentContext::ProfileInput
 {
-    return name + "/" + std::to_string(index_bits)
-         + (indirect ? "/i" : "/c")
-         + (history.rotateTargets ? "/r1" : "/r0")
-         + (history.includeReturns ? "/ret1" : "/ret0")
-         + (history.historyStack ? "/hs1" : "/hs0")
-         + "/d" + std::to_string(history.depth);
+    /** In-process cache key stem; unique across inputs. */
+    std::string name;
+    /** Store key prefix for an artifact kind ("profile", ...). */
+    std::function<store::KeyBuilder(const std::string &kind)> key;
+    /** Produces the profile trace, ready to replay. */
+    std::function<std::shared_ptr<trace::TraceSource>()> trace;
+};
+
+ExperimentContext::ProfileInput
+ExperimentContext::syntheticInput(const workload::BenchmarkSpec &spec)
+{
+    return {spec.name,
+            [&spec](const std::string &kind) {
+                return workloadKey(kind, spec);
+            },
+            [this, &spec]() -> std::shared_ptr<trace::TraceSource> {
+                return trace(spec, workload::InputKind::Profile);
+            }};
+}
+
+ExperimentContext::ProfileInput
+ExperimentContext::externalInput(const ExternalTrace &ext) const
+{
+    // "ext:" + hash cannot collide with a benchmark name, so external
+    // profilers share the in-process map with synthetic ones.
+    return {"ext:" + ext.contentHash,
+            [&ext](const std::string &kind) {
+                return externalKey(kind, ext);
+            },
+            [this, &ext] { return openExternal(ext); }};
 }
 
 ExperimentContext::ProfilerEntry &
-ExperimentContext::profilerEntry(const std::string &name,
+ExperimentContext::profilerEntry(const ProfileInput &input,
                                  unsigned index_bits, bool indirect,
                                  core::PathHistoryOptions history)
 {
-    const Key key = makeKey(name, index_bits, indirect, history);
+    const std::string key = input.name + "/"
+        + std::to_string(index_bits) + (indirect ? "/i" : "/c")
+        + (history.rotateTargets ? "/r1" : "/r0")
+        + (history.includeReturns ? "/ret1" : "/ret0")
+        + (history.historyStack ? "/hs1" : "/hs0") + "/d"
+        + std::to_string(history.depth);
     auto it = profilers_.find(key);
     if (it == profilers_.end()) {
         core::ProfileOptions options;
         options.indexBits = index_bits;
-        options.jobs = step1Jobs_;
         options.history = history;
-        ProfilerEntry entry;
-        if (indirect) {
-            entry.indirect =
-                std::make_unique<core::IndirectProfiler>(options);
-        } else {
-            entry.conditional =
-                std::make_unique<core::ConditionalProfiler>(options);
-        }
-        it = profilers_.emplace(key, std::move(entry)).first;
+        it = profilers_
+                 .emplace(key,
+                          ProfilerEntry{core::Profiler(options, indirect)})
+                 .first;
     }
     return it->second;
 }
 
 void
 ExperimentContext::ensureStep1(ProfilerEntry &entry,
-                               const std::optional<store::CacheKey> &key,
-                               const TraceProvider &profile_trace)
+                               const ProfileInput &input)
 {
     if (entry.step1Done)
         return;
     throwIfCancelled();
 
-    const bool indirect = entry.indirect != nullptr;
-    if (store_ && key) {
+    core::Profiler &profiler = entry.profiler;
+    std::optional<store::CacheKey> key;
+    if (store_) {
+        key = profileKey(input.key("profile"), profiler.options(),
+                         profiler.indirect());
         if (const auto payload = store_->fetch(*key)) {
             try {
                 core::FixedLengthSweep sweep;
                 std::unordered_map<std::uint64_t, core::BranchProfile>
                     profiles;
                 store::decodeStep1Profile(*payload, sweep, profiles);
-                if (indirect) {
-                    entry.indirect->restoreStep1(std::move(sweep),
-                                                 std::move(profiles));
-                } else {
-                    entry.conditional->restoreStep1(
-                        std::move(sweep), std::move(profiles));
-                }
+                profiler.restoreStep1(std::move(sweep),
+                                      std::move(profiles));
                 entry.step1Done = true;
                 return;
             } catch (const std::exception &error) {
@@ -256,32 +275,21 @@ ExperimentContext::ensureStep1(ProfilerEntry &entry,
         }
     }
 
-    const auto source = profile_trace();
+    const auto source = input.trace();
     source->reset();
-    if (entry.conditional)
-        entry.conditional->runStep1(*source);
-    else
-        entry.indirect->runStep1(*source);
+    profiler.runStep1(*source);
     entry.step1Done = true;
 
-    if (store_ && key) {
-        const core::FixedLengthSweep &sweep =
-            indirect ? entry.indirect->step1Sweep()
-                     : entry.conditional->step1Sweep();
-        const auto &profiles = indirect
-            ? entry.indirect->branchProfiles()
-            : entry.conditional->branchProfiles();
+    if (key) {
         store_->insert(*key,
-                       store::encodeStep1Profile(sweep, profiles));
+                       store::encodeStep1Profile(profiler.step1Sweep(),
+                                                 profiler.branchProfiles()));
     }
 }
 
 const core::HashAssignment &
-ExperimentContext::ensureAssignment(
-        ProfilerEntry &entry,
-        const std::optional<store::CacheKey> &assignment_key,
-        const std::optional<store::CacheKey> &profile_key,
-        const TraceProvider &profile_trace)
+ExperimentContext::ensureAssignment(ProfilerEntry &entry,
+                                    const ProfileInput &input)
 {
     if (entry.assignment)
         return *entry.assignment;
@@ -289,8 +297,12 @@ ExperimentContext::ensureAssignment(
 
     // A cached assignment short-circuits both profiling steps; only
     // probe step 1 (and possibly recompute it) on a miss.
-    if (store_ && assignment_key) {
-        if (const auto payload = store_->fetch(*assignment_key)) {
+    core::Profiler &profiler = entry.profiler;
+    std::optional<store::CacheKey> key;
+    if (store_) {
+        key = assignmentKey(input.key("assignment"), profiler.options(),
+                            profiler.indirect());
+        if (const auto payload = store_->fetch(*key)) {
             try {
                 entry.assignment = store::decodeAssignment(*payload);
                 return *entry.assignment;
@@ -302,119 +314,45 @@ ExperimentContext::ensureAssignment(
         }
     }
 
-    ensureStep1(entry, profile_key, profile_trace);
-    const auto source = profile_trace();
+    ensureStep1(entry, input);
+    const auto source = input.trace();
     source->reset();
-    if (entry.conditional)
-        entry.assignment = entry.conditional->runStep2(*source);
-    else
-        entry.assignment = entry.indirect->runStep2(*source);
-    if (store_ && assignment_key) {
-        store_->insert(*assignment_key,
-                       store::encodeAssignment(*entry.assignment));
-    }
+    entry.assignment = profiler.runStep2(*source);
+    if (key)
+        store_->insert(*key, store::encodeAssignment(*entry.assignment));
     return *entry.assignment;
 }
 
 const core::FixedLengthSweep &
-ExperimentContext::conditionalSweep(const workload::BenchmarkSpec &spec,
-                                    unsigned index_bits,
-                                    core::PathHistoryOptions history)
+ExperimentContext::sweep(const workload::BenchmarkSpec &spec,
+                         unsigned index_bits, bool indirect,
+                         core::PathHistoryOptions history)
 {
+    const ProfileInput input = syntheticInput(spec);
     ProfilerEntry &entry =
-        profilerEntry(spec.name, index_bits, false, history);
-    std::optional<store::CacheKey> key;
-    if (store_) {
-        key = profileKey(workloadKey("profile", spec),
-                         entry.conditional->options(), false);
-    }
-    ensureStep1(entry, key, [&] {
-        return trace(spec, workload::InputKind::Profile);
-    });
-    return entry.conditional->step1Sweep();
-}
-
-const core::FixedLengthSweep &
-ExperimentContext::indirectSweep(const workload::BenchmarkSpec &spec,
-                                 unsigned index_bits,
-                                 core::PathHistoryOptions history)
-{
-    ProfilerEntry &entry =
-        profilerEntry(spec.name, index_bits, true, history);
-    std::optional<store::CacheKey> key;
-    if (store_) {
-        key = profileKey(workloadKey("profile", spec),
-                         entry.indirect->options(), true);
-    }
-    ensureStep1(entry, key, [&] {
-        return trace(spec, workload::InputKind::Profile);
-    });
-    return entry.indirect->step1Sweep();
+        profilerEntry(input, index_bits, indirect, history);
+    ensureStep1(entry, input);
+    return entry.profiler.step1Sweep();
 }
 
 const core::HashAssignment &
-ExperimentContext::conditionalAssignment(
-        const workload::BenchmarkSpec &spec, unsigned index_bits,
-        core::PathHistoryOptions history)
+ExperimentContext::assignment(const workload::BenchmarkSpec &spec,
+                              unsigned index_bits, bool indirect,
+                              core::PathHistoryOptions history)
 {
-    ProfilerEntry &entry =
-        profilerEntry(spec.name, index_bits, false, history);
-    std::optional<store::CacheKey> assignment_key;
-    std::optional<store::CacheKey> profile_key;
-    if (store_) {
-        assignment_key = assignmentKey(
-            workloadKey("assignment", spec),
-            entry.conditional->options(), false);
-        profile_key = profileKey(workloadKey("profile", spec),
-                                 entry.conditional->options(), false);
-    }
-    return ensureAssignment(entry, assignment_key, profile_key, [&] {
-        return trace(spec, workload::InputKind::Profile);
-    });
-}
-
-const core::HashAssignment &
-ExperimentContext::indirectAssignment(const workload::BenchmarkSpec &spec,
-                                      unsigned index_bits,
-                                      core::PathHistoryOptions history)
-{
-    ProfilerEntry &entry =
-        profilerEntry(spec.name, index_bits, true, history);
-    std::optional<store::CacheKey> assignment_key;
-    std::optional<store::CacheKey> profile_key;
-    if (store_) {
-        assignment_key = assignmentKey(
-            workloadKey("assignment", spec),
-            entry.indirect->options(), true);
-        profile_key = profileKey(workloadKey("profile", spec),
-                                 entry.indirect->options(), true);
-    }
-    return ensureAssignment(entry, assignment_key, profile_key, [&] {
-        return trace(spec, workload::InputKind::Profile);
-    });
+    const ProfileInput input = syntheticInput(spec);
+    return ensureAssignment(
+        profilerEntry(input, index_bits, indirect, history), input);
 }
 
 const core::FixedLengthSweep &
 ExperimentContext::externalSweep(const ExternalTrace &ext,
                                  unsigned index_bits, bool indirect)
 {
-    // "ext:" + hash cannot collide with a benchmark name, so external
-    // profilers share the in-process map with synthetic ones.
-    ProfilerEntry &entry = profilerEntry("ext:" + ext.contentHash,
-                                         index_bits, indirect, {});
-    std::optional<store::CacheKey> key;
-    if (store_) {
-        const core::ProfileOptions &options =
-            indirect ? entry.indirect->options()
-                     : entry.conditional->options();
-        key = profileKey(externalKey("profile", ext), options,
-                         indirect);
-    }
-    ensureStep1(entry, key, [&]() -> std::shared_ptr<trace::TraceSource> {
-        return openExternal(ext);
-    });
-    return indirect ? entry.indirect->step1Sweep()
-                    : entry.conditional->step1Sweep();
+    const ProfileInput input = externalInput(ext);
+    ProfilerEntry &entry = profilerEntry(input, index_bits, indirect, {});
+    ensureStep1(entry, input);
+    return entry.profiler.step1Sweep();
 }
 
 const core::HashAssignment &
@@ -422,109 +360,9 @@ ExperimentContext::externalAssignment(const ExternalTrace &ext,
                                       unsigned index_bits,
                                       bool indirect)
 {
-    ProfilerEntry &entry = profilerEntry("ext:" + ext.contentHash,
-                                         index_bits, indirect, {});
-    std::optional<store::CacheKey> assignment_key;
-    std::optional<store::CacheKey> profile_key;
-    if (store_) {
-        const core::ProfileOptions &options =
-            indirect ? entry.indirect->options()
-                     : entry.conditional->options();
-        assignment_key = assignmentKey(externalKey("assignment", ext),
-                                       options, indirect);
-        profile_key = profileKey(externalKey("profile", ext), options,
-                                 indirect);
-    }
-    return ensureAssignment(
-        entry, assignment_key, profile_key,
-        [&]() -> std::shared_ptr<trace::TraceSource> {
-            return openExternal(ext);
-        });
-}
-
-std::vector<double>
-ExperimentContext::averageConditionalSweep(std::size_t bytes)
-{
-    const Key key = "avg/c/" + std::to_string(bytes);
-    auto it = averageSweeps_.find(key);
-    if (it != averageSweeps_.end())
-        return it->second;
-
-    const unsigned index_bits = pred::conditionalIndexBits(bytes);
-    std::vector<double> average(core::maxPathLength, 0.0);
-    const auto &suite = workload::benchmarkSuite();
-    for (const auto &spec : suite) {
-        const core::FixedLengthSweep &sweep =
-            conditionalSweep(spec, index_bits);
-        for (unsigned length = 1; length <= core::maxPathLength;
-             ++length) {
-            average[length - 1] += sweep.rate(length);
-        }
-    }
-    for (double &rate : average)
-        rate /= static_cast<double>(suite.size());
-    averageSweeps_[key] = average;
-    return average;
-}
-
-std::vector<double>
-ExperimentContext::averageIndirectSweep(std::size_t bytes)
-{
-    const Key key = "avg/i/" + std::to_string(bytes);
-    auto it = averageSweeps_.find(key);
-    if (it != averageSweeps_.end())
-        return it->second;
-
-    const unsigned index_bits = pred::indirectIndexBits(bytes);
-    std::vector<double> average(core::maxPathLength, 0.0);
-    // Average over the benchmarks that execute a meaningful number of
-    // indirect branches; a program with three indirect branch sites
-    // contributes noise, not signal, to the average.
-    unsigned counted = 0;
-    for (const auto &spec : workload::benchmarkSuite()) {
-        const core::FixedLengthSweep &sweep =
-            indirectSweep(spec, index_bits);
-        if (sweep.branches < 1000)
-            continue;
-        ++counted;
-        for (unsigned length = 1; length <= core::maxPathLength;
-             ++length) {
-            average[length - 1] += sweep.rate(length);
-        }
-    }
-    if (counted == 0)
-        util::fatal("no benchmark produced indirect branches");
-    for (double &rate : average)
-        rate /= static_cast<double>(counted);
-    averageSweeps_[key] = average;
-    return average;
-}
-
-namespace {
-
-unsigned
-argminLength(const std::vector<double> &rates)
-{
-    unsigned best = 1;
-    for (unsigned length = 2; length <= rates.size(); ++length) {
-        if (rates[length - 1] < rates[best - 1])
-            best = length;
-    }
-    return best;
-}
-
-} // anonymous namespace
-
-unsigned
-ExperimentContext::globalConditionalLength(std::size_t bytes)
-{
-    return argminLength(averageConditionalSweep(bytes));
-}
-
-unsigned
-ExperimentContext::globalIndirectLength(std::size_t bytes)
-{
-    return argminLength(averageIndirectSweep(bytes));
+    const ProfileInput input = externalInput(ext);
+    return ensureAssignment(profilerEntry(input, index_bits, indirect, {}),
+                            input);
 }
 
 namespace {
@@ -560,207 +398,137 @@ fetchComparisonRow(store::ArtifactStore *store,
     }
 }
 
-/**
- * Shared conditional-comparison body: build the predictor set, replay
- * the evaluation trace, and assemble the row.
- */
-ComparisonRow
-runConditionalComparison(const std::string &name,
-                         trace::TraceSource &eval_trace,
-                         unsigned index_bits, unsigned global_length,
-                         unsigned tuned_length,
-                         const core::HashAssignment &assignment,
-                         bool include_tuned)
+/** Table index width for a budget of @p bytes in one branch class. */
+unsigned
+indexBits(std::size_t bytes, bool indirect)
 {
-    pred::GsharePredictor gshare(index_bits);
-    core::PathConditionalPredictor flp(index_bits, global_length);
-    core::PathConditionalPredictor flp_tuned(index_bits, tuned_length);
-    core::PathConditionalPredictor vlp(index_bits, assignment);
-
-    Simulator simulator;
-    simulator.addConditional(&gshare);
-    simulator.addConditional(&flp);
-    if (include_tuned)
-        simulator.addConditional(&flp_tuned);
-    simulator.addConditional(&vlp);
-
-    eval_trace.reset();
-    simulator.run(eval_trace);
-
-    ComparisonRow row;
-    row.benchmark = name;
-    for (const auto &result : simulator.conditionalResults())
-        row.entries.push_back(toRateEntry(result));
-    if (include_tuned)
-        row.entries[2].predictor = names::flpTuned;
-    return row;
+    return indirect ? pred::indirectIndexBits(bytes)
+                    : pred::conditionalIndexBits(bytes);
 }
 
-/** Indirect counterpart of runConditionalComparison(). */
-ComparisonRow
-runIndirectComparison(const std::string &name,
-                      trace::TraceSource &eval_trace,
-                      unsigned index_bits, unsigned global_length,
-                      unsigned tuned_length,
-                      const core::HashAssignment &assignment,
-                      bool include_tuned)
+/**
+ * Append the path predictors every comparison ends with: fixed length
+ * at the global and (optionally) tuned lengths, then variable length.
+ */
+template <typename PathPredictor, typename Base>
+void
+addPathPredictors(std::vector<std::unique_ptr<Base>> &set,
+                  unsigned index_bits, unsigned global_length,
+                  unsigned tuned_length,
+                  const core::HashAssignment &assignment,
+                  bool include_tuned)
 {
-    pred::PathTargetCache chp_path(index_bits);
-    pred::PatternTargetCache chp_pattern(index_bits);
-    core::PathIndirectPredictor flp(index_bits, global_length);
-    core::PathIndirectPredictor flp_tuned(index_bits, tuned_length);
-    core::PathIndirectPredictor vlp(index_bits, assignment);
+    set.push_back(
+        std::make_unique<PathPredictor>(index_bits, global_length));
+    if (include_tuned) {
+        set.push_back(
+            std::make_unique<PathPredictor>(index_bits, tuned_length));
+    }
+    set.push_back(std::make_unique<PathPredictor>(index_bits, assignment));
+}
 
+/**
+ * Build one branch class's predictor set, replay the evaluation trace,
+ * and assemble the row.
+ */
+ComparisonRow
+runComparison(const std::string &name, trace::TraceSource &eval_trace,
+              bool indirect, unsigned index_bits, unsigned global_length,
+              unsigned tuned_length,
+              const core::HashAssignment &assignment, bool include_tuned)
+{
+    std::vector<std::unique_ptr<pred::ConditionalPredictor>> conditional;
+    std::vector<std::unique_ptr<pred::IndirectPredictor>> indirects;
+    if (indirect) {
+        indirects.push_back(
+            std::make_unique<pred::PathTargetCache>(index_bits));
+        indirects.push_back(
+            std::make_unique<pred::PatternTargetCache>(index_bits));
+        addPathPredictors<core::PathIndirectPredictor>(
+            indirects, index_bits, global_length, tuned_length,
+            assignment, include_tuned);
+    } else {
+        conditional.push_back(
+            std::make_unique<pred::GsharePredictor>(index_bits));
+        addPathPredictors<core::PathConditionalPredictor>(
+            conditional, index_bits, global_length, tuned_length,
+            assignment, include_tuned);
+    }
     Simulator simulator;
-    simulator.addIndirect(&chp_path);
-    simulator.addIndirect(&chp_pattern);
-    simulator.addIndirect(&flp);
-    if (include_tuned)
-        simulator.addIndirect(&flp_tuned);
-    simulator.addIndirect(&vlp);
+    for (const auto &predictor : conditional)
+        simulator.addConditional(predictor.get());
+    for (const auto &predictor : indirects)
+        simulator.addIndirect(predictor.get());
 
     eval_trace.reset();
     simulator.run(eval_trace);
 
     ComparisonRow row;
     row.benchmark = name;
-    for (const auto &result : simulator.indirectResults())
+    for (const auto &result : indirect ? simulator.indirectResults()
+                                       : simulator.conditionalResults())
         row.entries.push_back(toRateEntry(result));
     if (include_tuned)
-        row.entries[3].predictor = names::flpTuned;
+        row.entries[row.entries.size() - 2].predictor = names::flpTuned;
     return row;
 }
 
 } // anonymous namespace
 
 ComparisonRow
-compareConditional(ExperimentContext &context,
-                   const workload::BenchmarkSpec &spec,
-                   std::size_t bytes, unsigned global_length,
-                   bool include_tuned)
+compare(ExperimentContext &context, const workload::BenchmarkSpec &spec,
+        std::size_t bytes, unsigned global_length, bool indirect,
+        bool include_tuned)
 {
     context.throwIfCancelled();
-    const store::CacheKey key =
-        comparisonKey(spec, false, bytes, global_length, include_tuned);
+    const store::CacheKey key = comparisonKey(spec, indirect, bytes,
+                                              global_length, include_tuned);
     if (auto cached = fetchComparisonRow(context.store(), key))
         return *cached;
 
-    const unsigned index_bits = pred::conditionalIndexBits(bytes);
+    const unsigned index_bits = indexBits(bytes, indirect);
     const unsigned tuned_length =
-        context.conditionalSweep(spec, index_bits).bestLength();
+        context.sweep(spec, index_bits, indirect).bestLength();
     const core::HashAssignment &assignment =
-        context.conditionalAssignment(spec, index_bits);
+        context.assignment(spec, index_bits, indirect);
 
     const auto test_trace =
         context.trace(spec, workload::InputKind::Test);
-    ComparisonRow row = runConditionalComparison(
-        spec.name, *test_trace, index_bits, global_length, tuned_length,
-        assignment, include_tuned);
+    ComparisonRow row = runComparison(
+        spec.name, *test_trace, indirect, index_bits, global_length,
+        tuned_length, assignment, include_tuned);
     if (auto *store = context.store())
         store->insert(key, store::encodeComparisonRow(row));
     return row;
 }
 
 ComparisonRow
-compareIndirect(ExperimentContext &context,
-                const workload::BenchmarkSpec &spec, std::size_t bytes,
-                unsigned global_length, bool include_tuned)
-{
-    context.throwIfCancelled();
-    const store::CacheKey key =
-        comparisonKey(spec, true, bytes, global_length, include_tuned);
-    if (auto cached = fetchComparisonRow(context.store(), key))
-        return *cached;
-
-    const unsigned index_bits = pred::indirectIndexBits(bytes);
-    const unsigned tuned_length =
-        context.indirectSweep(spec, index_bits).bestLength();
-    const core::HashAssignment &assignment =
-        context.indirectAssignment(spec, index_bits);
-
-    const auto test_trace =
-        context.trace(spec, workload::InputKind::Test);
-    ComparisonRow row = runIndirectComparison(
-        spec.name, *test_trace, index_bits, global_length, tuned_length,
-        assignment, include_tuned);
-    if (auto *store = context.store())
-        store->insert(key, store::encodeComparisonRow(row));
-    return row;
-}
-
-ComparisonRow
-compareExternalConditional(ExperimentContext &context,
-                           const ExternalTrace &profile,
-                           const ExternalTrace &test, std::size_t bytes,
-                           unsigned global_length)
+compareExternal(ExperimentContext &context, const ExternalTrace &profile,
+                const ExternalTrace &test, std::size_t bytes,
+                unsigned global_length, bool indirect)
 {
     context.throwIfCancelled();
     const store::CacheKey key = externalComparisonKey(
-        profile, test, false, bytes, global_length, true);
+        profile, test, indirect, bytes, global_length, true);
     if (auto cached = fetchComparisonRow(context.store(), key))
         return *cached;
 
     // Everything learned comes from the profile trace (and is cached
     // under its content hash); only the replay below touches the test
     // trace.
-    const unsigned index_bits = pred::conditionalIndexBits(bytes);
+    const unsigned index_bits = indexBits(bytes, indirect);
     const unsigned tuned_length =
-        context.externalSweep(profile, index_bits, false).bestLength();
+        context.externalSweep(profile, index_bits, indirect).bestLength();
     const core::HashAssignment &assignment =
-        context.externalAssignment(profile, index_bits, false);
+        context.externalAssignment(profile, index_bits, indirect);
 
     const auto eval_trace = context.openExternal(test);
-    ComparisonRow row = runConditionalComparison(
-        test.name, *eval_trace, index_bits, global_length,
+    ComparisonRow row = runComparison(
+        test.name, *eval_trace, indirect, index_bits, global_length,
         tuned_length, assignment, true);
     if (auto *store = context.store())
         store->insert(key, store::encodeComparisonRow(row));
     return row;
-}
-
-ComparisonRow
-compareExternalIndirect(ExperimentContext &context,
-                        const ExternalTrace &profile,
-                        const ExternalTrace &test, std::size_t bytes,
-                        unsigned global_length)
-{
-    context.throwIfCancelled();
-    const store::CacheKey key = externalComparisonKey(
-        profile, test, true, bytes, global_length, true);
-    if (auto cached = fetchComparisonRow(context.store(), key))
-        return *cached;
-
-    const unsigned index_bits = pred::indirectIndexBits(bytes);
-    const unsigned tuned_length =
-        context.externalSweep(profile, index_bits, true).bestLength();
-    const core::HashAssignment &assignment =
-        context.externalAssignment(profile, index_bits, true);
-
-    const auto eval_trace = context.openExternal(test);
-    ComparisonRow row = runIndirectComparison(
-        test.name, *eval_trace, index_bits, global_length,
-        tuned_length, assignment, true);
-    if (auto *store = context.store())
-        store->insert(key, store::encodeComparisonRow(row));
-    return row;
-}
-
-ComparisonRow
-compareExternalConditional(ExperimentContext &context,
-                           const ExternalTrace &trace,
-                           std::size_t bytes, unsigned global_length)
-{
-    return compareExternalConditional(context, trace, trace, bytes,
-                                      global_length);
-}
-
-ComparisonRow
-compareExternalIndirect(ExperimentContext &context,
-                        const ExternalTrace &trace, std::size_t bytes,
-                        unsigned global_length)
-{
-    return compareExternalIndirect(context, trace, trace, bytes,
-                                   global_length);
 }
 
 } // namespace sim

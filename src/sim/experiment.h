@@ -13,7 +13,6 @@
 #ifndef VLPSIM_SIM_EXPERIMENT_H
 #define VLPSIM_SIM_EXPERIMENT_H
 
-#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -132,31 +131,12 @@ class ExperimentContext
         cancel_ = std::move(token);
     }
 
-    /** The attached cancellation token, or nullptr. */
-    const std::shared_ptr<const util::CancelToken> &
-    cancelToken() const
-    {
-        return cancel_;
-    }
-
     /** @throws util::CancelledError once the attached token fires */
     void throwIfCancelled() const
     {
         if (cancel_)
             cancel_->throwIfCancelled();
     }
-
-    /**
-     * Worker threads for step-1 fixed-length sweeps (see
-     * core::ProfileOptions::jobs; 0 = one per hardware thread,
-     * default 1 = serial). Sharding never changes results, so cached
-     * and stored artifacts are shared across settings; applies to
-     * profilers constructed after the call.
-     */
-    void setStep1Jobs(unsigned jobs) { step1Jobs_ = jobs; }
-
-    /** Configured step-1 worker-thread count. */
-    unsigned step1Jobs() const { return step1Jobs_; }
 
     /**
      * The benchmark's trace on the given input, generated on first
@@ -169,31 +149,51 @@ class ExperimentContext
     trace(const workload::BenchmarkSpec &spec, workload::InputKind kind);
 
     /**
-     * Step-1 sweep for conditional branches of @p spec at @p
-     * index_bits (profile input), cached.
+     * Step-1 sweep over the profile input of @p spec for one branch
+     * class at @p index_bits, cached in this context and (with a
+     * store attached) on disk.
      */
+    const core::FixedLengthSweep &
+    sweep(const workload::BenchmarkSpec &spec, unsigned index_bits,
+          bool indirect, core::PathHistoryOptions history = {});
+
+    /** Full two-step profiling result for one branch class, cached
+     *  like sweep(). */
+    const core::HashAssignment &
+    assignment(const workload::BenchmarkSpec &spec, unsigned index_bits,
+               bool indirect, core::PathHistoryOptions history = {});
+
     const core::FixedLengthSweep &
     conditionalSweep(const workload::BenchmarkSpec &spec,
                      unsigned index_bits,
-                     core::PathHistoryOptions history = {});
+                     core::PathHistoryOptions history = {})
+    {
+        return sweep(spec, index_bits, false, history);
+    }
 
-    /** Step-1 sweep for indirect branches, cached. */
     const core::FixedLengthSweep &
     indirectSweep(const workload::BenchmarkSpec &spec,
                   unsigned index_bits,
-                  core::PathHistoryOptions history = {});
+                  core::PathHistoryOptions history = {})
+    {
+        return sweep(spec, index_bits, true, history);
+    }
 
-    /** Full two-step conditional profiling result, cached. */
     const core::HashAssignment &
     conditionalAssignment(const workload::BenchmarkSpec &spec,
                           unsigned index_bits,
-                          core::PathHistoryOptions history = {});
+                          core::PathHistoryOptions history = {})
+    {
+        return assignment(spec, index_bits, false, history);
+    }
 
-    /** Full two-step indirect profiling result, cached. */
     const core::HashAssignment &
     indirectAssignment(const workload::BenchmarkSpec &spec,
                        unsigned index_bits,
-                       core::PathHistoryOptions history = {});
+                       core::PathHistoryOptions history = {})
+    {
+        return assignment(spec, index_bits, true, history);
+    }
 
     /**
      * Open an external trace for one streaming replay: the parked
@@ -222,60 +222,35 @@ class ExperimentContext
     externalAssignment(const ExternalTrace &trace, unsigned index_bits,
                        bool indirect);
 
-    /**
-     * Average conditional misprediction rate per path length over the
-     * whole suite at a table of @p bytes (profile inputs) — the curve
-     * whose minimum defines the paper's global fixed length (Table 2).
-     * @return rates[L-1] in percent for L = 1..32
-     */
-    std::vector<double> averageConditionalSweep(std::size_t bytes);
-
-    /** Indirect counterpart of averageConditionalSweep(). */
-    std::vector<double> averageIndirectSweep(std::size_t bytes);
-
-    /** The global fixed path length for conditional predictors. */
-    unsigned globalConditionalLength(std::size_t bytes);
-
-    /** The global fixed path length for indirect predictors. */
-    unsigned globalIndirectLength(std::size_t bytes);
-
   private:
     struct ProfilerEntry
     {
-        std::unique_ptr<core::ConditionalProfiler> conditional;
-        std::unique_ptr<core::IndirectProfiler> indirect;
+        core::Profiler profiler;
         bool step1Done = false;
         std::optional<core::HashAssignment> assignment;
     };
 
-    using Key = std::string;
+    /** A profile input: synthetic benchmark or external trace (defined
+     *  in experiment.cc). */
+    struct ProfileInput;
 
-    /** Produces a fresh (reset) profile-input trace on demand. */
-    using TraceProvider =
-        std::function<std::shared_ptr<trace::TraceSource>()>;
+    ProfileInput syntheticInput(const workload::BenchmarkSpec &spec);
+    ProfileInput externalInput(const ExternalTrace &trace) const;
 
-    static Key makeKey(const std::string &name, unsigned index_bits,
-                       bool indirect, core::PathHistoryOptions history);
-
-    ProfilerEntry &profilerEntry(const std::string &name,
+    ProfilerEntry &profilerEntry(const ProfileInput &input,
                                  unsigned index_bits, bool indirect,
                                  core::PathHistoryOptions history);
 
     /**
      * Ensure step 1 has run for @p entry: restore it from the store
-     * under @p key when possible, otherwise replay the trace from
-     * @p profile_trace (and persist the result).
+     * when possible, otherwise replay @p input's trace (and persist
+     * the result).
      */
-    void ensureStep1(ProfilerEntry &entry,
-                     const std::optional<store::CacheKey> &key,
-                     const TraceProvider &profile_trace);
+    void ensureStep1(ProfilerEntry &entry, const ProfileInput &input);
 
-    /** Shared body of the four assignment accessors. */
+    /** ensureStep1() then step 2, with the same store round trip. */
     const core::HashAssignment &
-    ensureAssignment(ProfilerEntry &entry,
-                     const std::optional<store::CacheKey> &assignment_key,
-                     const std::optional<store::CacheKey> &profile_key,
-                     const TraceProvider &profile_trace);
+    ensureAssignment(ProfilerEntry &entry, const ProfileInput &input);
 
     static constexpr std::size_t traceCacheCapacity = 4;
 
@@ -287,78 +262,77 @@ class ExperimentContext
 
     std::list<TraceEntry> traces_;
     std::shared_ptr<const util::CancelToken> cancel_;
-    unsigned step1Jobs_ = 1;
-    std::map<Key, ProfilerEntry> profilers_;
-    std::map<Key, std::vector<double>> averageSweeps_;
+    std::map<std::string, ProfilerEntry> profilers_;
     std::shared_ptr<store::ArtifactStore> store_;
 };
 
 /**
- * Compare the paper's conditional predictors on one benchmark:
- * gshare, fixed length path (at @p global_length), optionally "fixed
- * length path (tuned)" (per-benchmark best profiled length), and the
- * variable length path predictor, all with tables of @p bytes,
- * evaluated on the test input.
+ * Compare the paper's predictors for one branch class on one
+ * benchmark, all with tables of @p bytes, evaluated on the test
+ * input. Conditional: gshare, fixed length path (at @p
+ * global_length), optionally "fixed length path (tuned)"
+ * (per-benchmark best profiled length), and the variable length path
+ * predictor. Indirect: the Chang-Hao-Patt path and pattern target
+ * caches, then the same three path predictors.
  */
-ComparisonRow compareConditional(ExperimentContext &context,
-                                 const workload::BenchmarkSpec &spec,
-                                 std::size_t bytes,
-                                 unsigned global_length,
-                                 bool include_tuned = false);
+ComparisonRow compare(ExperimentContext &context,
+                      const workload::BenchmarkSpec &spec,
+                      std::size_t bytes, unsigned global_length,
+                      bool indirect, bool include_tuned = false);
+
+inline ComparisonRow
+compareConditional(ExperimentContext &context,
+                   const workload::BenchmarkSpec &spec, std::size_t bytes,
+                   unsigned global_length, bool include_tuned = false)
+{
+    return compare(context, spec, bytes, global_length, false,
+                   include_tuned);
+}
+
+inline ComparisonRow
+compareIndirect(ExperimentContext &context,
+                const workload::BenchmarkSpec &spec, std::size_t bytes,
+                unsigned global_length, bool include_tuned = false)
+{
+    return compare(context, spec, bytes, global_length, true,
+                   include_tuned);
+}
 
 /**
- * Compare the paper's indirect predictors on one benchmark: the
- * Chang-Hao-Patt path and pattern target caches, fixed length path,
- * optionally tuned fixed length path, and variable length path.
- */
-ComparisonRow compareIndirect(ExperimentContext &context,
-                              const workload::BenchmarkSpec &spec,
-                              std::size_t bytes,
-                              unsigned global_length,
-                              bool include_tuned = false);
-
-/**
- * compareConditional() for an external trace pair — the paper's §3
+ * compare() for an external trace pair — the paper's §3
  * methodology: profile on one input, evaluate on another. All
  * profiling artifacts (step-1 sweep, tuned length, step-2 assignment)
  * come from @p profile and are cached under *its* content hash, so
- * swapping the evaluation trace reuses them; the predictors are then
- * replayed over @p test. The row's cache key carries both content
- * hashes — a row evaluated on one test trace can never be served for
- * another. Compared predictors: gshare, fixed length path at
- * @p global_length, the profile-tuned fixed length, and the variable
- * length path predictor.
+ * swapping the evaluation trace reuses them; the predictors (tuned
+ * one included) are then replayed over @p test. The row's cache key
+ * carries both content hashes — a row evaluated on one test trace can
+ * never be served for another. Self-evaluation is profile == test.
  */
-ComparisonRow compareExternalConditional(ExperimentContext &context,
-                                         const ExternalTrace &profile,
-                                         const ExternalTrace &test,
-                                         std::size_t bytes,
-                                         unsigned global_length);
+ComparisonRow compareExternal(ExperimentContext &context,
+                              const ExternalTrace &profile,
+                              const ExternalTrace &test,
+                              std::size_t bytes, unsigned global_length,
+                              bool indirect);
 
-/** Indirect counterpart of the paired compareExternalConditional(). */
-ComparisonRow compareExternalIndirect(ExperimentContext &context,
-                                      const ExternalTrace &profile,
-                                      const ExternalTrace &test,
-                                      std::size_t bytes,
-                                      unsigned global_length);
+inline ComparisonRow
+compareExternalConditional(ExperimentContext &context,
+                           const ExternalTrace &profile,
+                           const ExternalTrace &test, std::size_t bytes,
+                           unsigned global_length)
+{
+    return compareExternal(context, profile, test, bytes, global_length,
+                           false);
+}
 
-/**
- * Self-evaluation shorthand: profile and evaluate on the same trace.
- * This overstates accuracy (the predictor is tested on the input it
- * was trained on) — callers with a second input per workload should
- * use the paired overload; the suite runner labels results from this
- * path "self-eval".
- */
-ComparisonRow compareExternalConditional(ExperimentContext &context,
-                                         const ExternalTrace &trace,
-                                         std::size_t bytes,
-                                         unsigned global_length);
-
-/** Self-evaluation counterpart of compareExternalIndirect(). */
-ComparisonRow compareExternalIndirect(ExperimentContext &context,
-                                      const ExternalTrace &trace,
-                                      std::size_t bytes,
-                                      unsigned global_length);
+inline ComparisonRow
+compareExternalIndirect(ExperimentContext &context,
+                        const ExternalTrace &profile,
+                        const ExternalTrace &test, std::size_t bytes,
+                        unsigned global_length)
+{
+    return compareExternal(context, profile, test, bytes, global_length,
+                           true);
+}
 
 /** Canonical predictor display names used in comparison rows. */
 namespace names {

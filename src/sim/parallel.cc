@@ -5,9 +5,12 @@
 
 #include "sim/parallel.h"
 
+#include <algorithm>
+#include <exception>
+#include <mutex>
+
 #include "core/profiler.h"
 #include "predictors/budget.h"
-#include "util/logging.h"
 
 namespace vlp {
 namespace sim {
@@ -23,9 +26,9 @@ ParallelRunner::ParallelRunner(unsigned jobs)
 }
 
 void
-ParallelRunner::runSharded(std::size_t count,
-                           const std::function<void(ExperimentContext &,
-                                                    std::size_t)> &fn)
+ParallelRunner::forEach(std::size_t count,
+                        const std::function<void(ExperimentContext &,
+                                                 std::size_t)> &fn)
 {
     if (count == 0)
         return;
@@ -64,14 +67,15 @@ ParallelRunner::runSharded(std::size_t count,
 }
 
 std::vector<ComparisonRow>
-ParallelRunner::compareConditionalSuite(
+ParallelRunner::compareSuite(
         const std::vector<workload::BenchmarkSpec> &specs,
-        std::size_t bytes, unsigned global_length, bool include_tuned)
+        std::size_t bytes, unsigned global_length, bool indirect,
+        bool include_tuned)
 {
     auto rows = map<ComparisonRow>(
         specs.size(), [&](ExperimentContext &context, std::size_t i) {
-            return compareConditional(context, specs[i], bytes,
-                                      global_length, include_tuned);
+            return compare(context, specs[i], bytes, global_length,
+                           indirect, include_tuned);
         });
     for (const ComparisonRow &row : rows) {
         for (const RateEntry &entry : row.entries)
@@ -80,131 +84,27 @@ ParallelRunner::compareConditionalSuite(
     return rows;
 }
 
-std::vector<ComparisonRow>
-ParallelRunner::compareIndirectSuite(
-        const std::vector<workload::BenchmarkSpec> &specs,
-        std::size_t bytes, unsigned global_length, bool include_tuned)
+const core::SuiteAverage &
+ParallelRunner::suiteAverage(std::size_t bytes, bool indirect)
 {
-    auto rows = map<ComparisonRow>(
-        specs.size(), [&](ExperimentContext &context, std::size_t i) {
-            return compareIndirect(context, specs[i], bytes,
-                                   global_length, include_tuned);
-        });
-    for (const ComparisonRow &row : rows) {
-        for (const RateEntry &entry : row.entries)
-            addPredictions(entry.branches);
-    }
-    return rows;
-}
+    const auto key = std::make_pair(bytes, indirect);
+    auto it = averages_.find(key);
+    if (it != averages_.end())
+        return it->second;
 
-std::vector<ParallelRunner::SweepRates>
-ParallelRunner::suiteSweeps(std::size_t bytes, bool indirect)
-{
     const unsigned index_bits = indirect
         ? pred::indirectIndexBits(bytes)
         : pred::conditionalIndexBits(bytes);
     const auto &suite = workload::benchmarkSuite();
-    auto sweeps = map<SweepRates>(
+    const auto sweeps = map<core::FixedLengthSweep>(
         suite.size(), [&](ExperimentContext &context, std::size_t i) {
-            const core::FixedLengthSweep &sweep = indirect
-                ? context.indirectSweep(suite[i], index_bits)
-                : context.conditionalSweep(suite[i], index_bits);
-            SweepRates result;
-            result.branches = sweep.branches;
-            result.rates.reserve(core::maxPathLength);
-            for (unsigned length = 1; length <= core::maxPathLength;
-                 ++length) {
-                result.rates.push_back(sweep.rate(length));
-            }
-            return result;
+            return context.sweep(suite[i], index_bits, indirect);
         });
     // Step 1 drives all maxPathLength fixed-length predictors at once.
-    for (const SweepRates &sweep : sweeps)
+    for (const core::FixedLengthSweep &sweep : sweeps)
         addPredictions(sweep.branches * core::maxPathLength);
-    return sweeps;
-}
-
-std::vector<double>
-ParallelRunner::averageConditionalSweep(std::size_t bytes)
-{
-    const std::string key = "avg/c/" + std::to_string(bytes);
-    auto it = averageSweeps_.find(key);
-    if (it != averageSweeps_.end())
-        return it->second;
-
-    // Per-benchmark sweeps run in parallel; the accumulation below
-    // mirrors ExperimentContext::averageConditionalSweep() term for
-    // term (same suite order, same divisions) so the result is
-    // bit-identical to the serial path.
-    const auto sweeps = suiteSweeps(bytes, false);
-    std::vector<double> average(core::maxPathLength, 0.0);
-    for (const SweepRates &sweep : sweeps) {
-        for (unsigned length = 1; length <= core::maxPathLength;
-             ++length) {
-            average[length - 1] += sweep.rates[length - 1];
-        }
-    }
-    for (double &rate : average)
-        rate /= static_cast<double>(sweeps.size());
-    averageSweeps_[key] = average;
-    return average;
-}
-
-std::vector<double>
-ParallelRunner::averageIndirectSweep(std::size_t bytes)
-{
-    const std::string key = "avg/i/" + std::to_string(bytes);
-    auto it = averageSweeps_.find(key);
-    if (it != averageSweeps_.end())
-        return it->second;
-
-    const auto sweeps = suiteSweeps(bytes, true);
-    std::vector<double> average(core::maxPathLength, 0.0);
-    unsigned counted = 0;
-    for (const SweepRates &sweep : sweeps) {
-        // Same filter as the serial path: a benchmark with almost no
-        // indirect branches contributes noise, not signal.
-        if (sweep.branches < 1000)
-            continue;
-        ++counted;
-        for (unsigned length = 1; length <= core::maxPathLength;
-             ++length) {
-            average[length - 1] += sweep.rates[length - 1];
-        }
-    }
-    if (counted == 0)
-        util::fatal("no benchmark produced indirect branches");
-    for (double &rate : average)
-        rate /= static_cast<double>(counted);
-    averageSweeps_[key] = average;
-    return average;
-}
-
-namespace {
-
-unsigned
-argminLength(const std::vector<double> &rates)
-{
-    unsigned best = 1;
-    for (unsigned length = 2; length <= rates.size(); ++length) {
-        if (rates[length - 1] < rates[best - 1])
-            best = length;
-    }
-    return best;
-}
-
-} // anonymous namespace
-
-unsigned
-ParallelRunner::globalConditionalLength(std::size_t bytes)
-{
-    return argminLength(averageConditionalSweep(bytes));
-}
-
-unsigned
-ParallelRunner::globalIndirectLength(std::size_t bytes)
-{
-    return argminLength(averageIndirectSweep(bytes));
+    return averages_.emplace(key, core::averageSweeps(sweeps, indirect))
+        .first->second;
 }
 
 } // namespace sim

@@ -23,11 +23,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "sim/experiment.h"
@@ -94,56 +93,66 @@ class ParallelRunner
     }
 
     /**
-     * Run fn(context, i) for i in [0, count) across the pool and
-     * return the results in index order. fn must only touch the
-     * context it is handed plus its own locals; exceptions thrown by
-     * fn are rethrown (first one wins) on the calling thread after
-     * all workers finish.
+     * Run fn(context, i) for i in [0, count): item i runs in worker
+     * i % jobs(). fn must only touch the context it is handed plus
+     * its own locals (and item i's slot of any shared output);
+     * exceptions thrown by fn are rethrown (first one wins) on the
+     * calling thread after all workers finish. Must not be called
+     * from inside fn — a nested call would wait on its own pool.
      */
+    void forEach(std::size_t count,
+                 const std::function<void(ExperimentContext &,
+                                          std::size_t)> &fn);
+
+    /** forEach() collecting fn's results in index order. */
     template <typename T>
     std::vector<T> map(std::size_t count,
                        const std::function<T(ExperimentContext &,
                                              std::size_t)> &fn)
     {
         std::vector<T> results(count);
-        runSharded(count, [&](ExperimentContext &context,
-                              std::size_t index) {
+        forEach(count, [&](ExperimentContext &context,
+                           std::size_t index) {
             results[index] = fn(context, index);
         });
         return results;
     }
 
     /**
-     * compareConditional() for each of @p specs (suite order in,
-     * suite order out), sharded across workers.
+     * compare() for each of @p specs (suite order in, suite order
+     * out), sharded across workers.
      */
     std::vector<ComparisonRow>
-    compareConditionalSuite(const std::vector<workload::BenchmarkSpec> &specs,
-                            std::size_t bytes, unsigned global_length,
-                            bool include_tuned = false);
-
-    /** Indirect counterpart of compareConditionalSuite(). */
-    std::vector<ComparisonRow>
-    compareIndirectSuite(const std::vector<workload::BenchmarkSpec> &specs,
-                         std::size_t bytes, unsigned global_length,
-                         bool include_tuned = false);
+    compareSuite(const std::vector<workload::BenchmarkSpec> &specs,
+                 std::size_t bytes, unsigned global_length, bool indirect,
+                 bool include_tuned = false);
 
     /**
-     * ExperimentContext::averageConditionalSweep() with the
-     * per-benchmark step-1 sweeps computed in parallel. The
-     * accumulation runs in suite order on the calling thread, so the
-     * floating-point result is bit-identical to the serial method.
+     * Average step-1 misprediction rate per path length over the whole
+     * suite at a table of @p bytes (profile inputs) — the curve whose
+     * minimum defines the paper's global fixed length (Table 2; see
+     * core::averageSweeps()). The per-benchmark sweeps run in
+     * parallel; the accumulation runs in suite order on the calling
+     * thread, so the result is bit-identical for any jobs value.
+     * @return rates[L-1] in percent for L = 1..32
      */
-    std::vector<double> averageConditionalSweep(std::size_t bytes);
-
-    /** Indirect counterpart of averageConditionalSweep(). */
-    std::vector<double> averageIndirectSweep(std::size_t bytes);
+    std::vector<double> averageSweep(std::size_t bytes, bool indirect)
+    {
+        return suiteAverage(bytes, indirect).rates;
+    }
 
     /** The global fixed path length for conditional predictors. */
-    unsigned globalConditionalLength(std::size_t bytes);
+    unsigned globalConditionalLength(std::size_t bytes)
+    {
+        return suiteAverage(bytes, false).length;
+    }
 
-    /** The global fixed path length for indirect predictors. */
-    unsigned globalIndirectLength(std::size_t bytes);
+    /** The global fixed path length for indirect predictors (0 when
+     *  no benchmark runs enough indirect branches). */
+    unsigned globalIndirectLength(std::size_t bytes)
+    {
+        return suiteAverage(bytes, true).length;
+    }
 
     /**
      * Dynamic predictions issued through this runner so far (one per
@@ -162,28 +171,14 @@ class ParallelRunner
     }
 
   private:
-    /**
-     * Per-benchmark step-1 rate curves (rates[L-1] percent, L =
-     * 1..maxPathLength) plus the profiled branch count, computed in
-     * parallel over the whole suite.
-     */
-    struct SweepRates
-    {
-        std::vector<double> rates;
-        std::uint64_t branches = 0;
-    };
-
-    std::vector<SweepRates> suiteSweeps(std::size_t bytes, bool indirect);
-
-    /** Shard fn over [0, count): item i runs in worker i % jobs(). */
-    void runSharded(std::size_t count,
-                    const std::function<void(ExperimentContext &,
-                                             std::size_t)> &fn);
+    /** The suite average at @p bytes, computed once. */
+    const core::SuiteAverage &suiteAverage(std::size_t bytes,
+                                           bool indirect);
 
     unsigned jobs_;
     std::unique_ptr<util::ThreadPool> pool_; // null when jobs_ == 1
     std::vector<std::unique_ptr<ExperimentContext>> contexts_;
-    std::map<std::string, std::vector<double>> averageSweeps_;
+    std::map<std::pair<std::size_t, bool>, core::SuiteAverage> averages_;
     std::atomic<std::uint64_t> predictions_{0};
 };
 

@@ -25,6 +25,14 @@ tick(const ProgressFn &progress, const std::string &stage,
         progress({stage, completed, total});
 }
 
+/** The global fixed length for @p bytes, without building rows. */
+unsigned
+globalLength(ParallelRunner &runner, bool indirect, std::size_t bytes)
+{
+    return indirect ? runner.globalIndirectLength(bytes)
+                    : runner.globalConditionalLength(bytes);
+}
+
 /**
  * One budget's comparison section, appended to @p report. Extracted
  * so the suite and sweep paths build sections with identical layout.
@@ -34,13 +42,9 @@ addCompareSection(Report &report, ParallelRunner &runner,
                   bool indirect, std::size_t bytes,
                   const std::string &name)
 {
-    const unsigned global_length = indirect
-        ? runner.globalIndirectLength(bytes)
-        : runner.globalConditionalLength(bytes);
-    const auto &suite = workload::benchmarkSuite();
-    const auto rows = indirect
-        ? runner.compareIndirectSuite(suite, bytes, global_length)
-        : runner.compareConditionalSuite(suite, bytes, global_length);
+    const unsigned global_length = globalLength(runner, indirect, bytes);
+    const auto rows = runner.compareSuite(workload::benchmarkSuite(),
+                                          bytes, global_length, indirect);
 
     Section &section = report.addSection(name);
     std::ostringstream caption;
@@ -58,14 +62,6 @@ addCompareSection(Report &report, ParallelRunner &runner,
             cells.push_back(Cell::percent(entry.rate));
         section.addRow(row.benchmark, std::move(cells));
     }
-}
-
-/** The global fixed length for @p bytes, without building rows. */
-unsigned
-globalLength(ParallelRunner &runner, bool indirect, std::size_t bytes)
-{
-    return indirect ? runner.globalIndirectLength(bytes)
-                    : runner.globalConditionalLength(bytes);
 }
 
 } // anonymous namespace

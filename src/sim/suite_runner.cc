@@ -6,22 +6,20 @@
 #include "sim/suite_runner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "core/profiler.h"
 #include "predictors/budget.h"
+#include "sim/parallel.h"
 #include "sim/report.h"
 #include "store/artifact_store.h"
 #include "store/checkpoint.h"
@@ -35,7 +33,6 @@
 #include "util/logging.h"
 #include "util/retry.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace fs = std::filesystem;
 
@@ -43,10 +40,6 @@ namespace vlp {
 namespace sim {
 
 namespace {
-
-/** Indirect sweeps below this many branches are noise, not signal
- *  (mirrors ExperimentContext::averageIndirectSweep). */
-constexpr std::uint64_t minIndirectBranches = 1000;
 
 /** Manifest file picked up from the corpus root when present. */
 constexpr const char *defaultManifestName = "pairs.txt";
@@ -89,10 +82,9 @@ struct TraceWork
     ExternalTrace test;
     /** Passed validation and sweeps; eligible for comparisons. */
     bool valid = false;
-    /** Step-1 rate curves (percent, index L-1) from the profile
-     *  trace, for the suite average. */
-    std::vector<double> condRates;
-    std::vector<double> indRates;
+    /** Step-1 sweeps over the profile trace, for the suite average. */
+    core::FixedLengthSweep condSweep;
+    core::FixedLengthSweep indSweep;
 };
 
 /** Journal cell key for one per-trace sweep (profile trace only —
@@ -162,21 +154,6 @@ decodeSweepCell(const std::vector<std::uint8_t> &payload)
     return sweep;
 }
 
-/** Rate curve (percent per length) from a sweep, like
- *  FixedLengthSweep::rate() over the full range. */
-std::vector<double>
-rateCurve(const core::FixedLengthSweep &sweep)
-{
-    std::vector<double> rates(sweep.mispredictions.size(), 0.0);
-    if (sweep.branches == 0)
-        return rates;
-    for (std::size_t i = 0; i < rates.size(); ++i) {
-        rates[i] = 100.0 * static_cast<double>(sweep.mispredictions[i])
-            / static_cast<double>(sweep.branches);
-    }
-    return rates;
-}
-
 /** Journal lookup that treats undecodable payloads as misses. */
 template <typename Decode>
 auto
@@ -240,11 +217,8 @@ obtainRow(const TraceSuiteOptions &options,
     }
 
     const ComparisonRow row = retryTransient(options, [&] {
-        return indirect
-            ? compareExternalIndirect(context, profile, eval, bytes,
-                                      global_length)
-            : compareExternalConditional(context, profile, eval, bytes,
-                                         global_length);
+        return compareExternal(context, profile, eval, bytes,
+                               global_length, indirect);
     });
     if (journal != nullptr)
         journal->record(key, store::encodeComparisonRow(row));
@@ -263,52 +237,6 @@ quarantine(TraceWork &work, const std::string &cause)
     work.profile.session.reset();
     work.test.session.reset();
     util::warn("quarantined pair " + work.outcome.name + ": " + cause);
-}
-
-/**
- * Static-sharded parallel loop: item i runs on worker i % jobs, each
- * worker walks its items in increasing order (mirrors
- * ParallelRunner::runSharded). jobs == 1 runs inline. fn(worker, i)
- * must not throw — per-pair errors are absorbed into outcomes — but
- * a stray exception is still captured and rethrown, first one wins.
- */
-void
-forEachSharded(util::ThreadPool *pool, unsigned jobs, std::size_t count,
-               const std::function<void(unsigned, std::size_t)> &fn)
-{
-    if (pool == nullptr || jobs <= 1 || count <= 1) {
-        for (std::size_t i = 0; i < count; ++i)
-            fn(0, i);
-        return;
-    }
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    for (unsigned worker = 0; worker < jobs; ++worker) {
-        pool->submit([&, worker] {
-            try {
-                for (std::size_t i = worker; i < count; i += jobs)
-                    fn(worker, i);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(error_mutex);
-                if (!first_error)
-                    first_error = std::current_exception();
-            }
-        });
-    }
-    pool->wait();
-    if (first_error)
-        std::rethrow_exception(first_error);
-}
-
-unsigned
-argminLength(const std::vector<double> &rates)
-{
-    unsigned best = 1;
-    for (unsigned length = 2; length <= rates.size(); ++length) {
-        if (rates[length - 1] < rates[best - 1])
-            best = length;
-    }
-    return best;
 }
 
 bool
@@ -804,19 +732,12 @@ TraceSuiteRunner::run()
             options_.checkpoint);
     }
 
-    const unsigned jobs = options_.jobs == 0
-        ? util::ThreadPool::defaultThreadCount()
-        : options_.jobs;
-    std::unique_ptr<util::ThreadPool> pool;
-    if (jobs > 1 && pairing.pairs.size() > 1)
-        pool = std::make_unique<util::ThreadPool>(jobs);
-
-    std::vector<std::unique_ptr<ExperimentContext>> contexts;
-    for (unsigned worker = 0; worker < jobs; ++worker) {
-        contexts.push_back(std::make_unique<ExperimentContext>());
-        contexts.back()->setStore(options_.store);
-        contexts.back()->setCancelToken(options_.cancel);
-    }
+    // Both phases shard pair i onto worker i % jobs, so phase C finds
+    // each pair's profiler caches in the context phase A filled.
+    ParallelRunner runner(options_.jobs);
+    runner.setStore(options_.store);
+    runner.setCancelToken(options_.cancel);
+    const unsigned jobs = runner.jobs();
 
     std::vector<TraceWork> work(pairing.pairs.size());
     for (std::size_t i = 0; i < pairing.pairs.size(); ++i) {
@@ -876,13 +797,11 @@ TraceSuiteRunner::run()
 
     // Phase A+B: validate both traces of each pair and collect the
     // profile trace's step-1 sweeps.
-    forEachSharded(pool.get(), jobs, work.size(),
-                   [&](unsigned worker, std::size_t i) {
+    runner.forEach(work.size(), [&](ExperimentContext &context,
+                                    std::size_t i) {
         TraceWork &item = work[i];
         const TracePair &pair = pairing.pairs[i];
-        if (options_.cancel)
-            options_.cancel->throwIfCancelled();
-        ExperimentContext &context = *contexts[worker];
+        context.throwIfCancelled();
         try {
             if (pair.profilePath.empty()) {
                 quarantine(item, "pair manifest references '"
@@ -948,16 +867,12 @@ TraceSuiteRunner::run()
                              "corruption would go undetected");
             }
 
-            const core::FixedLengthSweep cond_sweep =
-                obtainSweep(options_, journal.get(), context,
-                            item.profile, false, cond_bits);
-            const core::FixedLengthSweep ind_sweep =
-                obtainSweep(options_, journal.get(), context,
-                            item.profile, true, ind_bits);
-            item.outcome.conditionalBranches = cond_sweep.branches;
-            item.outcome.indirectBranches = ind_sweep.branches;
-            item.condRates = rateCurve(cond_sweep);
-            item.indRates = rateCurve(ind_sweep);
+            item.condSweep = obtainSweep(options_, journal.get(), context,
+                                         item.profile, false, cond_bits);
+            item.indSweep = obtainSweep(options_, journal.get(), context,
+                                        item.profile, true, ind_bits);
+            item.outcome.conditionalBranches = item.condSweep.branches;
+            item.outcome.indirectBranches = item.indSweep.branches;
             item.valid = true;
         } catch (const util::CancelledError &) {
             throw; // aborts the run; never a quarantine cause
@@ -972,29 +887,21 @@ TraceSuiteRunner::run()
         }
     });
 
-    // Suite-wide global lengths, accumulated in sorted-pair order on
-    // this thread so the averages are bit-identical for any jobs
-    // value (mirrors the paper's Table 2 methodology: profile inputs
-    // only).
-    std::vector<double> cond_average(core::maxPathLength, 0.0);
-    std::vector<double> ind_average(core::maxPathLength, 0.0);
-    unsigned cond_counted = 0;
-    unsigned ind_counted = 0;
+    // Suite-wide global lengths over the valid pairs in sorted-pair
+    // order (the paper's Table 2 rule over profile inputs only), so
+    // they are bit-identical for any jobs value. A pair with no class
+    // that counts toward an average has nothing to compare.
+    const std::uint64_t min_cond = core::minimumSweepBranches(false);
+    const std::uint64_t min_ind = core::minimumSweepBranches(true);
+    std::vector<core::FixedLengthSweep> cond_sweeps;
+    std::vector<core::FixedLengthSweep> ind_sweeps;
     for (TraceWork &item : work) {
         if (!item.valid)
             continue;
-        if (item.outcome.conditionalBranches > 0) {
-            ++cond_counted;
-            for (std::size_t l = 0; l < item.condRates.size(); ++l)
-                cond_average[l] += item.condRates[l];
-        }
-        if (item.outcome.indirectBranches >= minIndirectBranches) {
-            ++ind_counted;
-            for (std::size_t l = 0; l < item.indRates.size(); ++l)
-                ind_average[l] += item.indRates[l];
-        }
-        if (item.outcome.conditionalBranches == 0
-            && item.outcome.indirectBranches < minIndirectBranches) {
+        cond_sweeps.push_back(item.condSweep);
+        ind_sweeps.push_back(item.indSweep);
+        if (item.outcome.conditionalBranches < min_cond
+            && item.outcome.indirectBranches < min_ind) {
             item.valid = false;
             item.outcome.status = TraceStatus::Skipped;
             item.outcome.cause = "no usable branches ("
@@ -1004,18 +911,8 @@ TraceSuiteRunner::run()
                 + " indirect)";
         }
     }
-    unsigned global_cond = 0;
-    unsigned global_ind = 0;
-    if (cond_counted > 0) {
-        for (double &rate : cond_average)
-            rate /= static_cast<double>(cond_counted);
-        global_cond = argminLength(cond_average);
-    }
-    if (ind_counted > 0) {
-        for (double &rate : ind_average)
-            rate /= static_cast<double>(ind_counted);
-        global_ind = argminLength(ind_average);
-    }
+    unsigned global_cond = core::averageSweeps(cond_sweeps, false).length;
+    unsigned global_ind = core::averageSweeps(ind_sweeps, true).length;
     // Pinned globals (the chaos campaign's masked baseline): replay
     // rows are pure functions of the pair's traces plus these two
     // lengths, so pinning them lets a chaos-off rerun be compared
@@ -1028,10 +925,8 @@ TraceSuiteRunner::run()
     // Phase C: comparison rows per surviving pair — the train row
     // replays the profile trace, the test row replays the test trace,
     // both against the assignment learned from the profile trace.
-    // Same sharding as phase A so each worker reuses its own phase-B
-    // profiler caches.
-    forEachSharded(pool.get(), jobs, work.size(),
-                   [&](unsigned worker, std::size_t i) {
+    runner.forEach(work.size(), [&](ExperimentContext &context,
+                                    std::size_t i) {
         TraceWork &item = work[i];
         if (!item.valid) {
             // Skipped in the barrier (or quarantined without passing
@@ -1041,11 +936,9 @@ TraceSuiteRunner::run()
             item.test.session.reset();
             return;
         }
-        if (options_.cancel)
-            options_.cancel->throwIfCancelled();
-        ExperimentContext &context = *contexts[worker];
+        context.throwIfCancelled();
         try {
-            if (item.outcome.conditionalBranches > 0
+            if (item.outcome.conditionalBranches >= min_cond
                 && global_cond > 0) {
                 if (!item.outcome.selfEval) {
                     item.outcome.conditionalTrain =
@@ -1058,7 +951,7 @@ TraceSuiteRunner::run()
                               item.profile, item.test, false,
                               options_.bytes, global_cond);
             }
-            if (item.outcome.indirectBranches >= minIndirectBranches
+            if (item.outcome.indirectBranches >= min_ind
                 && global_ind > 0) {
                 if (!item.outcome.selfEval) {
                     item.outcome.indirectTrain =

@@ -221,6 +221,17 @@ ArgParser::fail(const std::string &message) const
 }
 
 std::uint64_t
+ArgParser::uintArg(const std::string &name,
+                   const std::string &text) const
+{
+    try {
+        return parseUint(text);
+    } catch (const std::exception &error) {
+        fail(name + ": " + error.what());
+    }
+}
+
+std::uint64_t
 parseUint(const std::string &text, std::uint64_t max)
 {
     // strtoull would skip leading space and negate a leading '-'.

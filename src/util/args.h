@@ -101,6 +101,13 @@ class ArgParser
     /** Print @p message as an error plus a usage hint, then exit 2. */
     [[noreturn]] void fail(const std::string &message) const;
 
+    /**
+     * parseUint() for a positional or list item called @p name; a
+     * malformed value fails like a bad flag value does.
+     */
+    std::uint64_t uintArg(const std::string &name,
+                          const std::string &text) const;
+
   private:
     struct Flag
     {

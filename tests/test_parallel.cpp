@@ -156,9 +156,9 @@ TEST_F(ParallelHarness, ConditionalRowsBitIdenticalAcrossJobs)
         parallel.globalConditionalLength(4096);
     EXPECT_EQ(serial_length, parallel_length);
     expectIdenticalRows(
-        serial.compareConditionalSuite(specs, 4096, serial_length),
-        parallel.compareConditionalSuite(specs, 4096,
-                                         parallel_length));
+        serial.compareSuite(specs, 4096, serial_length, false),
+        parallel.compareSuite(specs, 4096,
+                                         parallel_length, false));
 }
 
 TEST_F(ParallelHarness, IndirectRowsBitIdenticalAcrossJobs)
@@ -171,17 +171,17 @@ TEST_F(ParallelHarness, IndirectRowsBitIdenticalAcrossJobs)
         parallel.globalIndirectLength(512);
     EXPECT_EQ(serial_length, parallel_length);
     expectIdenticalRows(
-        serial.compareIndirectSuite(specs, 512, serial_length),
-        parallel.compareIndirectSuite(specs, 512, parallel_length));
+        serial.compareSuite(specs, 512, serial_length, true),
+        parallel.compareSuite(specs, 512, parallel_length, true));
 }
 
 TEST_F(ParallelHarness, AverageSweepBitIdenticalAcrossJobs)
 {
     ParallelRunner serial(1);
     ParallelRunner parallel(4);
-    const auto serial_sweep = serial.averageConditionalSweep(4096);
+    const auto serial_sweep = serial.averageSweep(4096, false);
     const auto parallel_sweep =
-        parallel.averageConditionalSweep(4096);
+        parallel.averageSweep(4096, false);
     ASSERT_EQ(serial_sweep.size(), parallel_sweep.size());
     for (std::size_t i = 0; i < serial_sweep.size(); ++i)
         EXPECT_EQ(serial_sweep[i], parallel_sweep[i]);
@@ -212,11 +212,11 @@ TEST_F(ParallelHarness, Step1ShardingBitIdenticalAcrossJobs)
 
         core::ProfileOptions reference_options = options;
         reference_options.jobs = 1;
-        core::ConditionalProfiler reference(reference_options);
+        core::Profiler reference(reference_options, false);
         profile_trace.reset();
         reference.runStep1(profile_trace);
 
-        core::ConditionalProfiler sharded(options);
+        core::Profiler sharded(options, false);
         profile_trace.reset();
         sharded.runStep1(profile_trace);
 
@@ -247,13 +247,13 @@ TEST_F(ParallelHarness, Step1ShardingAssignmentIdenticalAcrossJobs)
 
     core::ProfileOptions options;
     options.indexBits = 12;
-    core::ConditionalProfiler serial(options);
+    core::Profiler serial(options, false);
     profile_trace.reset();
     const core::HashAssignment serial_assignment =
         serial.profile(profile_trace);
 
     options.jobs = 4;
-    core::ConditionalProfiler sharded(options);
+    core::Profiler sharded(options, false);
     profile_trace.reset();
     const core::HashAssignment sharded_assignment =
         sharded.profile(profile_trace);
@@ -263,10 +263,10 @@ TEST_F(ParallelHarness, Step1ShardingAssignmentIdenticalAcrossJobs)
     ASSERT_EQ(sharded_assignment.table(), serial_assignment.table());
 
     // The indirect profiler shares the sharded sweep machinery.
-    core::IndirectProfiler indirect_serial(options);
+    core::Profiler indirect_serial(options, true);
     profile_trace.reset();
     indirect_serial.runStep1(profile_trace);
-    core::IndirectProfiler indirect_sharded(options);
+    core::Profiler indirect_sharded(options, true);
     profile_trace.reset();
     indirect_sharded.runStep1(profile_trace);
     EXPECT_EQ(indirect_sharded.step1Sweep().mispredictions,
@@ -283,7 +283,7 @@ TEST_F(ParallelHarness, SerialRunnerMatchesPlainContext)
     const auto &spec = workload::findBenchmark("compress");
     const auto direct = compareConditional(context, spec, 4096, 4);
     const auto via_runner =
-        runner.compareConditionalSuite({spec}, 4096, 4);
+        runner.compareSuite({spec}, 4096, 4, false);
     ASSERT_EQ(via_runner.size(), 1u);
     expectIdenticalRows({direct}, via_runner);
 }

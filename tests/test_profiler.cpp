@@ -108,20 +108,104 @@ TEST(FixedLengthSweep, TiesPreferShorterLength)
     EXPECT_EQ(sweep.bestLength(), 2u);
 }
 
+/** A full-range sweep with @p branches and misses[L-1] = f(L). */
+template <typename Misses>
+FixedLengthSweep
+fullSweep(std::uint64_t branches, Misses misses)
+{
+    FixedLengthSweep sweep;
+    sweep.branches = branches;
+    for (unsigned length = 1; length <= maxPathLength; ++length)
+        sweep.mispredictions.push_back(misses(length));
+    return sweep;
+}
+
+TEST(AverageSweeps, TiesGoToShorterLength)
+{
+    // Lengths 7 and 12 share the minimum.
+    const auto sweep = fullSweep(1000, [](unsigned length) {
+        return length == 7 || length == 12 ? 10u : 50u;
+    });
+    for (const bool indirect : {false, true}) {
+        const SuiteAverage average = averageSweeps({sweep}, indirect);
+        EXPECT_EQ(average.length, 7u);
+    }
+}
+
+TEST(AverageSweeps, IndirectSweepNeedsAThousandBranches)
+{
+    // Alone, the 999-branch sweep would pick length 3; it must not
+    // count, so the 1000-branch sweep's length 9 wins.
+    const auto noisy = fullSweep(999, [](unsigned length) {
+        return length == 3 ? 0u : 500u;
+    });
+    const auto counted = fullSweep(1000, [](unsigned length) {
+        return length == 9 ? 100u : 400u;
+    });
+    const SuiteAverage average = averageSweeps({noisy, counted}, true);
+    EXPECT_EQ(average.length, 9u);
+    EXPECT_EQ(average.rates, averageSweeps({counted}, true).rates);
+    // As a conditional sweep it would count.
+    EXPECT_EQ(averageSweeps({noisy}, false).length, 3u);
+}
+
+TEST(AverageSweeps, ConditionalSweepWithoutBranchesDoesNotCount)
+{
+    // A branchless sweep rates 0 % everywhere; counting it would halve
+    // the average without moving the argmin, so compare the curves.
+    const auto empty = fullSweep(0, [](unsigned) { return 0u; });
+    const auto counted = fullSweep(200, [](unsigned length) {
+        return length == 5 ? 20u : 60u;
+    });
+    const SuiteAverage average = averageSweeps({empty, counted}, false);
+    EXPECT_EQ(average.length, 5u);
+    EXPECT_EQ(average.rates, averageSweeps({counted}, false).rates);
+}
+
+TEST(AverageSweeps, NoCountedSweepSelectsZero)
+{
+    const auto few = fullSweep(10, [](unsigned length) { return length; });
+    EXPECT_EQ(averageSweeps({few}, true).length, 0u);
+    EXPECT_EQ(averageSweeps({}, false).length, 0u);
+    EXPECT_EQ(averageSweeps({}, true).rates,
+              std::vector<double>(maxPathLength, 0.0));
+}
+
+TEST(AverageSweeps, AverageIsTheInOrderSumOfRates)
+{
+    std::vector<FixedLengthSweep> sweeps;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        util::Rng rng(seed);
+        sweeps.push_back(fullSweep(1000 + 777 * seed, [&](unsigned) {
+            return rng.next() % 900;
+        }));
+    }
+    const SuiteAverage average = averageSweeps(sweeps, false);
+    ASSERT_EQ(average.rates.size(), maxPathLength);
+    for (unsigned length = 1; length <= maxPathLength; ++length) {
+        double sum = 0.0;
+        for (const FixedLengthSweep &sweep : sweeps)
+            sum += sweep.rate(length);
+        // Bit for bit: same terms, same order, one division.
+        EXPECT_EQ(average.rates[length - 1],
+                  sum / static_cast<double>(sweeps.size()));
+    }
+}
+
 TEST(ProfileOptions, Validation)
 {
     ProfileOptions bad;
     bad.maxLength = 0;
-    EXPECT_THROW(ConditionalProfiler{bad}, std::runtime_error);
+    EXPECT_THROW(Profiler(bad, false), std::runtime_error);
     bad = ProfileOptions{};
     bad.maxLength = 40;
-    EXPECT_THROW(ConditionalProfiler{bad}, std::runtime_error);
+    EXPECT_THROW(Profiler(bad, false), std::runtime_error);
     bad = ProfileOptions{};
     bad.candidates = 0;
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW(Profiler(bad, true), std::runtime_error);
     bad = ProfileOptions{};
     bad.iterations = 0;
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW(Profiler(bad, true), std::runtime_error);
 }
 
 TEST(ProfileOptions, RejectsZeroOrDescendingLengthRange)
@@ -131,31 +215,31 @@ TEST(ProfileOptions, RejectsZeroOrDescendingLengthRange)
     // Both must fail at construction, for both profiler classes.
     ProfileOptions bad;
     bad.minLength = 0;
-    EXPECT_THROW(ConditionalProfiler{bad}, std::runtime_error);
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW(Profiler(bad, false), std::runtime_error);
+    EXPECT_THROW(Profiler(bad, true), std::runtime_error);
 
     bad = ProfileOptions{};
     bad.minLength = 9;
     bad.maxLength = 4;
     try {
-        ConditionalProfiler profiler(bad);
+        Profiler profiler(bad, false);
         FAIL() << "expected a descending range to be rejected";
     } catch (const std::runtime_error &error) {
         EXPECT_NE(std::string(error.what()).find("descending"),
                   std::string::npos)
             << error.what();
     }
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW(Profiler(bad, true), std::runtime_error);
 }
 
 TEST(ProfileOptions, RejectsBadIndexBits)
 {
     ProfileOptions bad;
     bad.indexBits = 0;
-    EXPECT_THROW(ConditionalProfiler{bad}, std::runtime_error);
+    EXPECT_THROW(Profiler(bad, false), std::runtime_error);
     bad = ProfileOptions{};
     bad.indexBits = 31; // a per-length table would need 2^31 entries
-    EXPECT_THROW(IndirectProfiler{bad}, std::runtime_error);
+    EXPECT_THROW(Profiler(bad, true), std::runtime_error);
 }
 
 TEST(ConditionalProfiler, RestrictedLengthRangeSweeps)
@@ -165,7 +249,7 @@ TEST(ConditionalProfiler, RestrictedLengthRangeSweeps)
     options.indexBits = 12;
     options.minLength = 3;
     options.maxLength = 8;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     const FixedLengthSweep &sweep = profiler.runStep1(trace);
     EXPECT_EQ(sweep.minLength, 3u);
     // Lengths below the range were never simulated...
@@ -188,7 +272,7 @@ TEST(ConditionalProfiler, Step2RequiresStep1)
 {
     ProfileOptions options;
     options.indexBits = 10;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     trace::VectorTraceSource empty;
     EXPECT_THROW(profiler.runStep2(empty), std::runtime_error);
 }
@@ -199,7 +283,7 @@ TEST(ConditionalProfiler, SweepIdentifiesUsefulLengths)
     ProfileOptions options;
     options.indexBits = 12;
     options.maxLength = 8;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     const FixedLengthSweep &sweep = profiler.runStep1(trace);
     // Lengths >= 4 cover the context; lengths < 4 do not. The filler
     // branches are perfectly predictable either way, so the sweep
@@ -214,7 +298,7 @@ TEST(ConditionalProfiler, AssignsCoveringLengths)
     ProfileOptions options;
     options.indexBits = 12;
     options.maxLength = 10;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     const HashAssignment assignment = profiler.profile(trace);
 
     // Branch X needs distance 3. Branch Y correlates with the context
@@ -240,7 +324,7 @@ TEST(ConditionalProfiler, AssignmentBeatsWrongFixedLength)
     ProfileOptions options;
     options.indexBits = 12;
     options.maxLength = 10;
-    ConditionalProfiler profiler(options);
+    Profiler profiler(options, false);
     const HashAssignment assignment = profiler.profile(profile_trace);
 
     PathConditionalPredictor vlp(12, assignment);
@@ -292,7 +376,7 @@ TEST(IndirectProfiler, AssignsCoveringLength)
     ProfileOptions options;
     options.indexBits = 9;
     options.maxLength = 8;
-    IndirectProfiler profiler(options);
+    Profiler profiler(options, true);
     const HashAssignment assignment = profiler.profile(trace);
     EXPECT_GE(assignment.lookup(0x405000), 4u);
 
@@ -317,7 +401,7 @@ TEST(IndirectProfiler, Step2RequiresStep1)
 {
     ProfileOptions options;
     options.indexBits = 9;
-    IndirectProfiler profiler(options);
+    Profiler profiler(options, true);
     trace::VectorTraceSource empty;
     EXPECT_THROW(profiler.runStep2(empty), std::runtime_error);
 }

@@ -11,6 +11,7 @@
 #include "predictors/gshare.h"
 #include "predictors/target_cache.h"
 #include "sim/experiment.h"
+#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "sim/timing.h"
 #include "workload/benchmarks.h"
@@ -316,10 +317,10 @@ TEST_F(ExperimentHarness, AssignmentsAreCached)
 
 TEST_F(ExperimentHarness, GlobalLengthWithinRange)
 {
-    ExperimentContext context;
-    const auto average = context.averageConditionalSweep(1024);
+    ParallelRunner runner(1);
+    const auto average = runner.averageSweep(1024, false);
     EXPECT_EQ(average.size(), core::maxPathLength);
-    const unsigned global = context.globalConditionalLength(1024);
+    const unsigned global = runner.globalConditionalLength(1024);
     EXPECT_GE(global, 1u);
     EXPECT_LE(global, core::maxPathLength);
     // The reported minimum really is the curve's minimum.
@@ -329,8 +330,8 @@ TEST_F(ExperimentHarness, GlobalLengthWithinRange)
 
 TEST_F(ExperimentHarness, GlobalIndirectLengthWithinRange)
 {
-    ExperimentContext context;
-    const unsigned global = context.globalIndirectLength(2048);
+    ParallelRunner runner(1);
+    const unsigned global = runner.globalIndirectLength(2048);
     EXPECT_GE(global, 1u);
     EXPECT_LE(global, core::maxPathLength);
 }

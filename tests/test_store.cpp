@@ -481,7 +481,7 @@ TEST_F(CachedExperimentHarness, WarmRunMatchesColdRunSerially)
     {
         sim::ParallelRunner runner(1);
         runner.setStore(openShared());
-        cold = runner.compareConditionalSuite(suite, 4096, 5);
+        cold = runner.compareSuite(suite, 4096, 5, false);
         EXPECT_EQ(runner.context().store()->counters().hits, 0u);
     }
     {
@@ -489,7 +489,7 @@ TEST_F(CachedExperimentHarness, WarmRunMatchesColdRunSerially)
         const auto store = openShared();
         runner.setStore(store);
         const auto warm =
-            runner.compareConditionalSuite(suite, 4096, 5);
+            runner.compareSuite(suite, 4096, 5, false);
         expectIdenticalRows(cold, warm);
         // Every row came from the cache: no misses, no new inserts.
         const StoreCounters counters = store->counters();
@@ -507,20 +507,20 @@ TEST_F(CachedExperimentHarness, WarmRunMatchesColdRunInParallel)
         // Cold population runs with four workers sharing the store.
         sim::ParallelRunner runner(4);
         runner.setStore(openShared());
-        cold = runner.compareIndirectSuite(suite, 512, 3);
+        cold = runner.compareSuite(suite, 512, 3, true);
     }
     {
         sim::ParallelRunner warm_parallel(4);
         warm_parallel.setStore(openShared());
         expectIdenticalRows(
-            cold, warm_parallel.compareIndirectSuite(suite, 512, 3));
+            cold, warm_parallel.compareSuite(suite, 512, 3, true));
     }
     {
         // A serial consumer of the parallel-written cache agrees too.
         sim::ParallelRunner warm_serial(1);
         warm_serial.setStore(openShared());
         expectIdenticalRows(
-            cold, warm_serial.compareIndirectSuite(suite, 512, 3));
+            cold, warm_serial.compareSuite(suite, 512, 3, true));
     }
 }
 
@@ -529,12 +529,12 @@ TEST_F(CachedExperimentHarness, CachedRunMatchesUncachedRun)
     const auto suite = specs();
     sim::ParallelRunner uncached(1);
     const auto expected =
-        uncached.compareConditionalSuite(suite, 4096, 5);
+        uncached.compareSuite(suite, 4096, 5, false);
 
     sim::ParallelRunner cached(1);
     cached.setStore(openShared());
     expectIdenticalRows(
-        expected, cached.compareConditionalSuite(suite, 4096, 5));
+        expected, cached.compareSuite(suite, 4096, 5, false));
 }
 
 TEST_F(CachedExperimentHarness, PoisonedEntryIsEvictedAndRecomputed)
@@ -544,7 +544,7 @@ TEST_F(CachedExperimentHarness, PoisonedEntryIsEvictedAndRecomputed)
     {
         sim::ParallelRunner runner(1);
         runner.setStore(openShared());
-        cold = runner.compareConditionalSuite(suite, 4096, 5);
+        cold = runner.compareSuite(suite, 4096, 5, false);
     }
 
     // Flip one byte in every cached entry's payload region.
@@ -563,7 +563,7 @@ TEST_F(CachedExperimentHarness, PoisonedEntryIsEvictedAndRecomputed)
     const auto store = openShared();
     runner.setStore(store);
     const auto recovered =
-        runner.compareConditionalSuite(suite, 4096, 5);
+        runner.compareSuite(suite, 4096, 5, false);
     expectIdenticalRows(cold, recovered);
 
     // Each poisoned row was detected, evicted, and recomputed.
@@ -577,7 +577,7 @@ TEST_F(CachedExperimentHarness, PoisonedEntryIsEvictedAndRecomputed)
     const auto rewarm_store = openShared();
     rewarm.setStore(rewarm_store);
     expectIdenticalRows(
-        cold, rewarm.compareConditionalSuite(suite, 4096, 5));
+        cold, rewarm.compareSuite(suite, 4096, 5, false));
     EXPECT_EQ(rewarm_store->counters().corrupt, 0u);
     EXPECT_EQ(rewarm_store->counters().hits, suite.size());
 }

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -214,7 +215,16 @@ struct SubmitFlags
                          "scheduling priority, higher first "
                          "(default 0; may be negative)",
                          [this](const std::string &value) {
-                             priority = std::atoi(value.c_str());
+                             // Strict signed decimal: an optional '-'
+                             // then what parseUint() accepts.
+                             const bool negative =
+                                 value.size() > 1 && value[0] == '-';
+                             const auto magnitude = util::parseUint(
+                                 negative ? value.substr(1) : value,
+                                 std::numeric_limits<int>::max());
+                             priority = negative
+                                 ? -static_cast<int>(magnitude)
+                                 : static_cast<int>(magnitude);
                          });
         parser.addUint("--ms", "N",
                        "sleep duration for op sleep (default 100)",
@@ -251,7 +261,7 @@ struct SubmitFlags
                 if (item.empty())
                     continue;
                 spec.sweep.budgets.push_back(
-                    std::strtoul(item.c_str(), nullptr, 0));
+                    parser.uintArg("--budgets", item));
             }
             if (spec.sweep.budgets.empty())
                 parser.fail("op sweep needs --budgets N,N,...");
@@ -347,9 +357,9 @@ cmdSubmit(int argc, char **argv)
     if (repeat == 0)
         repeat = 1;
 
+    const serve::SubmitSpec spec = flags.toSpec(parser);
     serve::ServeClient client(requireEndpoint(parser, flags.server),
                               static_cast<unsigned>(timeout_ms));
-    const serve::SubmitSpec spec = flags.toSpec(parser);
 
     const auto start = std::chrono::steady_clock::now();
     util::Json last;
@@ -432,10 +442,10 @@ cmdServeStatus(int argc, char **argv)
     registerRecvTimeout(parser, &timeout_ms);
     const auto args = parser.parse(argc, argv, 2);
 
+    const std::uint64_t id =
+        args.empty() ? 0 : parser.uintArg("id", args[0]);
     serve::ServeClient client(requireEndpoint(parser, server),
                               static_cast<unsigned>(timeout_ms));
-    const std::uint64_t id =
-        args.empty() ? 0 : std::strtoull(args[0].c_str(), nullptr, 0);
     std::cout << util::toCompactJson(client.status(id)) << "\n";
     return 0;
 }
@@ -456,10 +466,9 @@ cmdServeCancel(int argc, char **argv)
     registerRecvTimeout(parser, &timeout_ms);
     const auto args = parser.parse(argc, argv, 2);
 
+    const std::uint64_t id = parser.uintArg("id", args[0]);
     serve::ServeClient client(requireEndpoint(parser, server),
                               static_cast<unsigned>(timeout_ms));
-    const std::uint64_t id =
-        std::strtoull(args[0].c_str(), nullptr, 0);
     const util::Json ack = client.cancel(id);
     std::cout << util::toCompactJson(ack) << "\n";
     return ack.at("type").asString() == "error" ? 1 : 0;

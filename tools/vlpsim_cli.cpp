@@ -277,29 +277,22 @@ cmdProfile(int argc, char **argv)
     output.registerFlags(parser);
     const auto args = parser.parse(argc, argv, 2);
 
+    const std::size_t bytes = parser.uintArg("bytes", args[1]);
+    const bool indirect = parseIndirect(args[2]);
     // Stream the trace instead of materializing it: profiling replays
     // in bounded-memory chunks (zero-copy when the file maps), so
     // multi-gigabyte inputs profile at a flat memory footprint.
     trace::StreamingTraceReader trace(
         trace::openByteFileFast(args[0], read_mode));
-    const std::size_t bytes =
-        std::strtoul(args[1].c_str(), nullptr, 0);
-    const bool indirect = parseIndirect(args[2]);
 
     core::ProfileOptions options;
     // The length-sharded step-1 sweep is bit-identical at any worker
     // count, so --jobs only changes wall-clock (default: serial).
     options.jobs = static_cast<unsigned>(jobs);
-    core::HashAssignment assignment(1);
-    if (indirect) {
-        options.indexBits = pred::indirectIndexBits(bytes);
-        core::IndirectProfiler profiler(options);
-        assignment = profiler.profile(trace);
-    } else {
-        options.indexBits = pred::conditionalIndexBits(bytes);
-        core::ConditionalProfiler profiler(options);
-        assignment = profiler.profile(trace);
-    }
+    options.indexBits = indirect ? pred::indirectIndexBits(bytes)
+                                 : pred::conditionalIndexBits(bytes);
+    const core::HashAssignment assignment =
+        core::Profiler(options, indirect).profile(trace);
     assignment.save(args[3]);
 
     const std::string histogram =
@@ -339,11 +332,10 @@ cmdEval(int argc, char **argv)
                          false);
     const auto args = parser.parse(argc, argv, 2);
 
-    auto trace = trace::loadTrace(args[0]);
-    const std::size_t bytes =
-        std::strtoul(args[1].c_str(), nullptr, 0);
+    const std::size_t bytes = parser.uintArg("bytes", args[1]);
     const bool indirect = parseIndirect(args[2]);
     const bool have_assignment = args.size() > 3;
+    auto trace = trace::loadTrace(args[0]);
 
     sim::Simulator simulator;
 
@@ -413,12 +405,10 @@ cmdTop(int argc, char **argv)
                          false);
     const auto args = parser.parse(argc, argv, 2);
 
-    auto trace = trace::loadTrace(args[0]);
-    const std::size_t bytes =
-        std::strtoul(args[1].c_str(), nullptr, 0);
+    const std::size_t bytes = parser.uintArg("bytes", args[1]);
     const std::size_t count =
-        args.size() > 2 ? std::strtoul(args[2].c_str(), nullptr, 0)
-                        : 15;
+        args.size() > 2 ? parser.uintArg("count", args[2]) : 15;
+    auto trace = trace::loadTrace(args[0]);
     const unsigned k = pred::conditionalIndexBits(bytes);
 
     pred::GsharePredictor gshare(k);
@@ -514,7 +504,7 @@ cmdSuiteTraces(int argc, char **argv)
     options.readMode = read_mode;
     options.store = store;
     if (!args.empty()) {
-        options.bytes = std::strtoul(args[0].c_str(), nullptr, 0);
+        options.bytes = parser.uintArg("bytes", args[0]);
         if (options.bytes == 0) {
             util::fatal("table budget must be a positive byte "
                         "count");
@@ -587,7 +577,7 @@ cmdSuite(int argc, char **argv)
 
     sim::SuiteCompareSpec spec;
     spec.indirect = parseIndirect(args[0]);
-    spec.bytes = std::strtoul(args[1].c_str(), nullptr, 0);
+    spec.bytes = parser.uintArg("bytes", args[1]);
     spec.jobs = static_cast<unsigned>(run.jobs);
     if (spec.bytes == 0)
         util::fatal("table budget must be a positive byte count");
