@@ -58,8 +58,11 @@ class HashAssignment
     void save(const std::string &path) const;
 
     /**
-     * Read an assignment previously written by save().
-     * @throws std::runtime_error on I/O or format errors
+     * Read an assignment previously written by save(). Every line must
+     * parse — "default <length>" first, then "<hex pc> <length>"; a
+     * malformed line is an error, never the silent end of the file.
+     * @throws std::runtime_error on I/O errors or a malformed line
+     *         (the message names its line number)
      */
     static HashAssignment load(const std::string &path);
 

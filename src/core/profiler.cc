@@ -9,13 +9,13 @@
 #include <cassert>
 #include <exception>
 #include <mutex>
+#include <type_traits>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 #endif
 
 #include "core/path_predictor.h"
-#include "predictors/predictor.h"
 #include "util/logging.h"
 #include "util/packed_counter_table.h"
 #include "util/thread_pool.h"
@@ -170,47 +170,38 @@ struct ShardResult
 };
 
 /**
- * Step-1 table bank (and step-2 predictor) for conditional branches:
- * every shard length's 2-bit-counter table, packed back to back in
- * one PackedCounterTable (4 KiB per 14-bit table, so even the full
- * 32-length bank stays L2-resident).
+ * Step-1 table bank for one branch class: every shard length's
+ * private table of @p Table entries, packed back to back in one table
+ * (4 KiB per 14-bit conditional table, so even the full 32-length
+ * bank stays L2-resident). Length L's segment is exactly the table of
+ * the fixed length path predictor PathPredictor<Table>(k, L) — the
+ * step-2 Predictor below over one shared table.
  *
  * accessAll() predicts, updates, and tallies every shard length for
- * one dynamic branch. On x86-64 hosts with AVX-512 it runs a
- * gather/scatter kernel eight lengths at a time — each length's
- * counter lives in its own table segment, so the lanes never alias —
- * with arithmetic identical to the scalar loop (results stay
- * bit-identical; the dispatch is per process capability, not per
- * run).
+ * one dynamic branch. On x86-64 hosts with AVX-512 the conditional
+ * bank runs accessAllAvx512() instead of the scalar loop (results
+ * stay bit-identical; the dispatch is per process capability, not per
+ * run). Indirect branches are a small fraction of a trace, so the
+ * scalar loop suffices for them.
  */
-class ConditionalStep1Tables
+template <typename Table>
+class Step1Tables
 {
   public:
-    ConditionalStep1Tables(unsigned index_bits, unsigned lengths)
+    /** The step-2 predictor for this branch class. */
+    using Predictor = PathPredictor<Table>;
+
+    Step1Tables(unsigned index_bits, unsigned lengths)
         : indexBits_(index_bits),
-          table_(std::size_t{lengths} << index_bits, 2)
+          table_(std::size_t{lengths} << index_bits)
     {
 #if defined(__x86_64__) && defined(__GNUC__)
-        simd_ = __builtin_cpu_supports("avx512f")
+        simd_ = std::is_same_v<Table, DirectionTable>
+             && __builtin_cpu_supports("avx512f")
              && __builtin_cpu_supports("avx512vl")
              && __builtin_cpu_supports("avx512dq")
              && __builtin_cpu_supports("avx512bw");
 #endif
-    }
-
-    /** The step-2 predictor for this branch class. */
-    using Predictor = PathConditionalPredictor;
-
-    static bool
-    profiled(const trace::BranchRecord &record)
-    {
-        return record.isConditional();
-    }
-
-    static bool
-    mispredicted(Predictor &predictor, const trace::BranchRecord &record)
-    {
-        return predictor.predict(record) != record.taken;
     }
 
     /**
@@ -224,19 +215,21 @@ class ConditionalStep1Tables
               std::uint64_t *misses)
     {
 #if defined(__x86_64__) && defined(__GNUC__)
-        if (simd_) {
-            accessAllAvx512(bank.rawView(), lo, lengths, record.taken,
-                            correct, misses);
-            return;
+        if constexpr (std::is_same_v<Table, DirectionTable>) {
+            if (simd_) {
+                accessAllAvx512(bank.rawView(), lo, lengths,
+                                record.taken, correct, misses);
+                return;
+            }
         }
 #endif
-        const bool taken = record.taken;
         for (unsigned slot = 0; slot < lengths; ++slot) {
             const std::size_t entry =
                 (std::size_t{slot} << indexBits_)
                 | static_cast<std::size_t>(bank.index(lo + slot));
             const bool hit =
-                table_.predictThenUpdate(entry, taken) == taken;
+                Table::hit(table_.predict(entry, record), record);
+            table_.train(entry, record);
             correct[slot] += static_cast<std::uint32_t>(
                 hit & (correct[slot] != BranchProfile::saturated));
             misses[slot] += !hit;
@@ -246,7 +239,8 @@ class ConditionalStep1Tables
   private:
 #if defined(__x86_64__) && defined(__GNUC__)
     /**
-     * The scalar loop above, eight 64-bit lanes at a time, with the
+     * The conditional fast path: the scalar loop above for
+     * DirectionTable, eight 64-bit lanes at a time, with the
      * index reconstruction (ring read, rotate, XOR with the running
      * sum) fused in so no per-record staging buffer is needed. Slot
      * width is 2 bits, so a word holds 32 counters (entry >> 5
@@ -259,7 +253,7 @@ class ConditionalStep1Tables
                     unsigned lengths, bool taken,
                     std::uint32_t *correct, std::uint64_t *misses)
     {
-        std::uint64_t *words = table_.wordData();
+        std::uint64_t *words = table_.counters().wordData();
         const __m512i one = _mm512_set1_epi64(1);
         const __m512i two = _mm512_set1_epi64(2);
         const __m512i three = _mm512_set1_epi64(3);
@@ -353,64 +347,10 @@ class ConditionalStep1Tables
 #endif
 
     unsigned indexBits_;
-    util::PackedCounterTable table_;
+    Table table_;
 #if defined(__x86_64__) && defined(__GNUC__)
     bool simd_ = false;
 #endif
-};
-
-/**
- * Step-1 table bank (and step-2 predictor) for indirect branches:
- * per-length tables of 32-bit target registers, packed back to back.
- * Indirect branches are a small fraction of a trace, so the scalar
- * loop suffices.
- */
-class IndirectStep1Tables
-{
-  public:
-    IndirectStep1Tables(unsigned index_bits, unsigned lengths)
-        : indexBits_(index_bits),
-          table_(std::size_t{lengths} << index_bits, 0)
-    {
-    }
-
-    using Predictor = PathIndirectPredictor;
-
-    static bool
-    profiled(const trace::BranchRecord &record)
-    {
-        return record.isIndirect();
-    }
-
-    static bool
-    mispredicted(Predictor &predictor, const trace::BranchRecord &record)
-    {
-        return predictor.predict(record) != record.nextPc;
-    }
-
-    /** See ConditionalStep1Tables::accessAll(). */
-    void
-    accessAll(const PathIndexBank &bank, unsigned lo, unsigned lengths,
-              const trace::BranchRecord &record, std::uint32_t *correct,
-              std::uint64_t *misses)
-    {
-        for (unsigned slot = 0; slot < lengths; ++slot) {
-            std::uint32_t &entry =
-                table_[(std::size_t{slot} << indexBits_)
-                       | static_cast<std::size_t>(
-                           bank.index(lo + slot))];
-            const bool hit =
-                pred::widenTarget(entry, record.pc) == record.nextPc;
-            entry = static_cast<std::uint32_t>(record.nextPc);
-            correct[slot] += static_cast<std::uint32_t>(
-                hit & (correct[slot] != BranchProfile::saturated));
-            misses[slot] += !hit;
-        }
-    }
-
-  private:
-    unsigned indexBits_;
-    std::vector<std::uint32_t> table_;
 };
 
 /**
@@ -419,7 +359,7 @@ class IndirectStep1Tables
  * trace order — either a loop over an in-memory vector or a streaming
  * pass over a trace source (bounded memory for on-disk traces).
  */
-template <typename Tables, typename Replay>
+template <typename Table, typename Replay>
 void
 runShard(Replay &&replay, const ProfileOptions &options,
          const LengthShard &shard, bool leader, ShardResult &out)
@@ -430,9 +370,8 @@ runShard(Replay &&replay, const ProfileOptions &options,
     // reads past its own highest length.
     history.depth = shard.hi;
     PathIndexBank bank(options.indexBits, history);
-    Tables tables(options.indexBits, shard.hi - shard.lo + 1);
-
     const unsigned lengths = shard.hi - shard.lo + 1;
+    Step1Tables<Table> tables(options.indexBits, lengths);
     out.mispredictions.assign(lengths, 0);
 
     // Direct-mapped pc -> profile cache in front of the hash map. Hot
@@ -447,7 +386,7 @@ runShard(Replay &&replay, const ProfileOptions &options,
     std::array<CachedProfile, 1024> recent{};
 
     replay([&](const trace::BranchRecord &record) {
-        if (Tables::profiled(record)) {
+        if (Table::covers(record)) {
             CachedProfile &cached = recent[(record.pc >> 2) & 1023];
             if (cached.pc != record.pc || cached.profile == nullptr) {
                 cached.pc = record.pc;
@@ -484,7 +423,7 @@ struct VectorReplay
  * Run step 1 over @p profile_trace, sharding the length range across
  * options.jobs workers, and merge into @p sweep / @p profiles.
  */
-template <typename Tables>
+template <typename Table>
 void
 runStep1Sharded(trace::TraceSource &profile_trace,
                 const ProfileOptions &options, FixedLengthSweep &sweep,
@@ -505,10 +444,10 @@ runStep1Sharded(trace::TraceSource &profile_trace,
         // peak trace-buffer memory stays whatever the source buffers,
         // not the whole trace.
         if (vector_source != nullptr) {
-            runShard<Tables>(VectorReplay{vector_source->records()},
+            runShard<Table>(VectorReplay{vector_source->records()},
                              options, shards[0], true, results[0]);
         } else {
-            runShard<Tables>(
+            runShard<Table>(
                 [&profile_trace](auto &&body) {
                     trace::BranchRecord record;
                     while (profile_trace.next(record))
@@ -542,7 +481,7 @@ runStep1Sharded(trace::TraceSource &profile_trace,
         for (std::size_t i = 1; i < shards.size(); ++i) {
             pool.submit([&, i] {
                 try {
-                    runShard<Tables>(VectorReplay{*records}, options,
+                    runShard<Table>(VectorReplay{*records}, options,
                                      shards[i], false, results[i]);
                 } catch (...) {
                     std::lock_guard<std::mutex> lock(failure_mutex);
@@ -551,7 +490,7 @@ runStep1Sharded(trace::TraceSource &profile_trace,
                 }
             });
         }
-        runShard<Tables>(VectorReplay{*records}, options, shards[0],
+        runShard<Table>(VectorReplay{*records}, options, shards[0],
                          true, results[0]);
         pool.wait();
         if (failure)
@@ -587,7 +526,7 @@ runStep1Sharded(trace::TraceSource &profile_trace,
  * a variable length path predictor built from the selector's next
  * assignment and records the per-branch misses.
  */
-template <typename Tables>
+template <typename Table>
 HashAssignment
 runStep2Iterations(trace::TraceSource &profile_trace,
                    const ProfileOptions &options,
@@ -606,15 +545,15 @@ runStep2Iterations(trace::TraceSource &profile_trace,
     for (unsigned iteration = 0; iteration < options.iterations;
          ++iteration) {
         const HashAssignment assignment = selector.nextAssignment();
-        typename Tables::Predictor predictor(
+        typename Step1Tables<Table>::Predictor predictor(
             options.indexBits, assignment, historyFor(options));
         misses.clear();
 
         profile_trace.reset();
         trace::BranchRecord record;
         while (profile_trace.next(record)) {
-            if (Tables::profiled(record)) {
-                if (Tables::mispredicted(predictor, record))
+            if (Table::covers(record)) {
+                if (!Table::hit(predictor.predict(record), record))
                     ++misses[record.pc];
                 predictor.update(record);
             }
@@ -640,13 +579,12 @@ Profiler::runStep1(trace::TraceSource &profile_trace)
     // packed and length-sharded; see the kernel comment above.
     FixedLengthSweep sweep;
     profiles_.clear();
-    if (indirect_) {
-        runStep1Sharded<IndirectStep1Tables>(profile_trace, options_,
-                                             sweep, profiles_);
-    } else {
-        runStep1Sharded<ConditionalStep1Tables>(profile_trace, options_,
-                                                sweep, profiles_);
-    }
+    if (indirect_)
+        runStep1Sharded<TargetTable>(profile_trace, options_, sweep,
+                                     profiles_);
+    else
+        runStep1Sharded<DirectionTable>(profile_trace, options_, sweep,
+                                        profiles_);
     sweep_ = std::move(sweep);
     step1Done_ = true;
     return sweep_;
@@ -658,10 +596,10 @@ Profiler::runStep2(trace::TraceSource &profile_trace)
     if (!step1Done_)
         util::fatal("profiler step 2 requires step 1 to have run");
     return indirect_
-        ? runStep2Iterations<IndirectStep1Tables>(profile_trace, options_,
-                                                  sweep_, profiles_)
-        : runStep2Iterations<ConditionalStep1Tables>(
-              profile_trace, options_, sweep_, profiles_);
+        ? runStep2Iterations<TargetTable>(profile_trace, options_, sweep_,
+                                          profiles_)
+        : runStep2Iterations<DirectionTable>(profile_trace, options_,
+                                             sweep_, profiles_);
 }
 
 HashAssignment

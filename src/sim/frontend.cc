@@ -58,6 +58,23 @@ indirectWrongPath(const trace::BranchRecord &record,
     return wrong;
 }
 
+/** One branch class's accuracy results, in registration order. */
+template <typename Slot>
+std::vector<PredictorResult>
+resultsOf(const std::vector<Slot> &slots)
+{
+    std::vector<PredictorResult> results;
+    for (const Slot &slot : slots) {
+        PredictorResult result;
+        result.name = slot.predictor->name();
+        result.sizeBytes = slot.predictor->sizeBytes();
+        result.branches = slot.timing.branches;
+        result.mispredictions = slot.timing.mispredictions;
+        results.push_back(std::move(result));
+    }
+    return results;
+}
+
 } // anonymous namespace
 
 double
@@ -278,31 +295,13 @@ FetchEngine::run(trace::TraceSource &source)
 std::vector<PredictorResult>
 FetchEngine::conditionalResults() const
 {
-    std::vector<PredictorResult> results;
-    for (const ConditionalSlot &slot : conditional_) {
-        PredictorResult result;
-        result.name = slot.predictor->name();
-        result.sizeBytes = slot.predictor->sizeBytes();
-        result.branches = slot.timing.branches;
-        result.mispredictions = slot.timing.mispredictions;
-        results.push_back(std::move(result));
-    }
-    return results;
+    return resultsOf(conditional_);
 }
 
 std::vector<PredictorResult>
 FetchEngine::indirectResults() const
 {
-    std::vector<PredictorResult> results;
-    for (const IndirectSlot &slot : indirect_) {
-        PredictorResult result;
-        result.name = slot.predictor->name();
-        result.sizeBytes = slot.predictor->sizeBytes();
-        result.branches = slot.timing.branches;
-        result.mispredictions = slot.timing.mispredictions;
-        results.push_back(std::move(result));
-    }
-    return results;
+    return resultsOf(indirect_);
 }
 
 PredictorResult

@@ -18,6 +18,53 @@ PredictorResult::rate() const
     return util::percent(mispredictions, branches);
 }
 
+namespace {
+
+/**
+ * Predict, count and train @p record on every predictor of one branch
+ * class; a prediction other than @p actual (the direction or the
+ * target) is a miss.
+ */
+template <typename Predictor, typename Slot, typename Outcome>
+void
+predictAll(const std::vector<Predictor *> &predictors,
+           std::vector<Slot> &slots, const trace::BranchRecord &record,
+           Outcome actual, bool track_per_branch)
+{
+    for (std::size_t i = 0; i < predictors.size(); ++i) {
+        Slot &slot = slots[i];
+        const bool miss = predictors[i]->predict(record) != actual;
+        ++slot.branches;
+        slot.mispredictions += miss ? 1 : 0;
+        if (track_per_branch) {
+            BranchAccuracy &accuracy = slot.perBranch[record.pc];
+            ++accuracy.executions;
+            accuracy.mispredictions += miss ? 1 : 0;
+        }
+        predictors[i]->update(record);
+    }
+}
+
+/** One branch class's results, in registration order. */
+template <typename Predictor, typename Slot>
+std::vector<PredictorResult>
+resultsOf(const std::vector<Predictor *> &predictors,
+          const std::vector<Slot> &slots)
+{
+    std::vector<PredictorResult> results;
+    for (std::size_t i = 0; i < predictors.size(); ++i) {
+        PredictorResult result;
+        result.name = predictors[i]->name();
+        result.sizeBytes = predictors[i]->sizeBytes();
+        result.branches = slots[i].branches;
+        result.mispredictions = slots[i].mispredictions;
+        results.push_back(std::move(result));
+    }
+    return results;
+}
+
+} // anonymous namespace
+
 void
 Simulator::addConditional(pred::ConditionalPredictor *predictor)
 {
@@ -40,36 +87,11 @@ Simulator::run(trace::TraceSource &source)
     trace::BranchRecord record;
     while (source.next(record)) {
         if (record.isConditional()) {
-            for (std::size_t i = 0; i < conditional_.size(); ++i) {
-                pred::ConditionalPredictor *predictor = conditional_[i];
-                Slot &slot = conditionalSlots_[i];
-                const bool predicted = predictor->predict(record);
-                const bool miss = predicted != record.taken;
-                ++slot.branches;
-                slot.mispredictions += miss ? 1 : 0;
-                if (trackPerBranch_) {
-                    BranchAccuracy &accuracy = slot.perBranch[record.pc];
-                    ++accuracy.executions;
-                    accuracy.mispredictions += miss ? 1 : 0;
-                }
-                predictor->update(record);
-            }
+            predictAll(conditional_, conditionalSlots_, record,
+                       record.taken, trackPerBranch_);
         } else if (record.isIndirect()) {
-            for (std::size_t i = 0; i < indirect_.size(); ++i) {
-                pred::IndirectPredictor *predictor = indirect_[i];
-                Slot &slot = indirectSlots_[i];
-                const std::uint64_t predicted =
-                    predictor->predict(record);
-                const bool miss = predicted != record.nextPc;
-                ++slot.branches;
-                slot.mispredictions += miss ? 1 : 0;
-                if (trackPerBranch_) {
-                    BranchAccuracy &accuracy = slot.perBranch[record.pc];
-                    ++accuracy.executions;
-                    accuracy.mispredictions += miss ? 1 : 0;
-                }
-                predictor->update(record);
-            }
+            predictAll(indirect_, indirectSlots_, record, record.nextPc,
+                       trackPerBranch_);
         } else if (record.isReturn()) {
             ++returns_;
             if (ras_.predictAndPop() != record.nextPc)
@@ -89,31 +111,13 @@ Simulator::run(trace::TraceSource &source)
 std::vector<PredictorResult>
 Simulator::conditionalResults() const
 {
-    std::vector<PredictorResult> results;
-    for (std::size_t i = 0; i < conditional_.size(); ++i) {
-        PredictorResult result;
-        result.name = conditional_[i]->name();
-        result.sizeBytes = conditional_[i]->sizeBytes();
-        result.branches = conditionalSlots_[i].branches;
-        result.mispredictions = conditionalSlots_[i].mispredictions;
-        results.push_back(std::move(result));
-    }
-    return results;
+    return resultsOf(conditional_, conditionalSlots_);
 }
 
 std::vector<PredictorResult>
 Simulator::indirectResults() const
 {
-    std::vector<PredictorResult> results;
-    for (std::size_t i = 0; i < indirect_.size(); ++i) {
-        PredictorResult result;
-        result.name = indirect_[i]->name();
-        result.sizeBytes = indirect_[i]->sizeBytes();
-        result.branches = indirectSlots_[i].branches;
-        result.mispredictions = indirectSlots_[i].mispredictions;
-        results.push_back(std::move(result));
-    }
-    return results;
+    return resultsOf(indirect_, indirectSlots_);
 }
 
 PredictorResult
@@ -132,13 +136,6 @@ Simulator::conditionalPerBranch(std::size_t index) const
 {
     assert(index < conditionalSlots_.size());
     return conditionalSlots_[index].perBranch;
-}
-
-const std::unordered_map<std::uint64_t, BranchAccuracy> &
-Simulator::indirectPerBranch(std::size_t index) const
-{
-    assert(index < indirectSlots_.size());
-    return indirectSlots_[index].perBranch;
 }
 
 } // namespace sim

@@ -116,26 +116,6 @@ class PackedCounterTable
         word ^= (field ^ next) << shift;
     }
 
-    /**
-     * Fused predict + update: returns the prediction for counter
-     * @p index (value >= midpoint, as predictTaken()) and then
-     * updates it toward @p taken, touching the word once. This is
-     * the step-1 profiling hot path.
-     */
-    bool
-    predictThenUpdate(std::size_t index, bool taken)
-    {
-        assert(index < size_);
-        std::uint64_t &word = words_[index >> slotsPerWordLog_];
-        const unsigned shift = shiftFor(index);
-        const std::uint64_t field = (word >> shift) & maxValue_;
-        const std::uint64_t next = taken
-            ? field + (field < maxValue_ ? 1 : 0)
-            : field - (field > 0 ? 1 : 0);
-        word ^= (field ^ next) << shift;
-        return field >= threshold_;
-    }
-
     /** Increment counter @p index, saturating at the maximum. */
     void increment(std::size_t index) { update(index, true); }
 

@@ -6,7 +6,10 @@
 
 #include <cstdio>
 #include <gtest/gtest.h>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/hash_assignment.h"
 #include "core/hfnt.h"
@@ -298,13 +301,44 @@ TEST(HashAssignment, SaveLoadRoundTrip)
 TEST(HashAssignment, LoadRejectsMalformedFiles)
 {
     const std::string path = testing::TempDir() + "/bad_assignment.txt";
-    std::FILE *file = std::fopen(path.c_str(), "w");
-    std::fputs("not an assignment file\n", file);
-    std::fclose(file);
-    EXPECT_THROW(HashAssignment::load(path), std::runtime_error);
+    // Each file is malformed somewhere; none may load, not even as a
+    // partial assignment. The error names the offending line.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"not an assignment file\n", "line 1"},
+        {"default 5 junk\n40a0 7\n", "line 1"},
+        {"default 0\n", "line 1"},
+        {"default 5\n40a0 7\nzz 3\n40b0 3\n", "line 3"},
+        {"default 5\n40a0 7 9\n", "line 2"},
+        {"default 5\n40a0\n", "line 2"},
+        {"default 5\n40a0 33\n", "line 2"},
+        {"default 5\n40a0 -7\n", "line 2"},
+        {"default 5\n40a0 7\n\n", "line 3"},
+    };
+    for (const auto &[contents, where] : cases) {
+        std::FILE *file = std::fopen(path.c_str(), "w");
+        std::fputs(contents.c_str(), file);
+        std::fclose(file);
+        try {
+            HashAssignment::load(path);
+            ADD_FAILURE() << "loaded: " << contents;
+        } catch (const std::runtime_error &error) {
+            EXPECT_NE(std::string(error.what()).find(where),
+                      std::string::npos)
+                << error.what();
+        }
+    }
     EXPECT_THROW(HashAssignment::load("/no/such/file"),
                  std::runtime_error);
     std::remove(path.c_str());
+}
+
+TEST(HashAssignment, SaveReportsWriteFailure)
+{
+    // /dev/full accepts the open and fails the write (often only at
+    // the final flush); save() must not return as if it succeeded.
+    HashAssignment assignment(5);
+    assignment.assign(0x400000, 3);
+    EXPECT_THROW(assignment.save("/dev/full"), std::runtime_error);
 }
 
 // --- FLP / VLP predictors ---------------------------------------------

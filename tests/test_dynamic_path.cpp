@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "core/dynamic_path.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
+#include "workload/benchmarks.h"
 
 namespace {
 
@@ -136,11 +138,52 @@ TEST(DynamicPath, IndirectLearnsPathDependentTargets)
 
 TEST(DynamicPath, SizeIncludesScoreTables)
 {
-    DynamicPathConditionalPredictor predictor(12, {1, 2, 4, 8}, 10, 4);
+    DynamicPathConditionalPredictor predictor(12, {1, 2, 4, 8}, 10);
     // 4K counters/4 + 1024 slots * 4 candidates * 4 bits / 8.
     EXPECT_EQ(predictor.sizeBytes(), 1024u + 2048u);
-    DynamicPathIndirectPredictor indirect(9, {1, 2}, 8, 4);
+    DynamicPathIndirectPredictor indirect(9, {1, 2}, 8);
     EXPECT_EQ(indirect.sizeBytes(), 2048u + 256u);
+    // The defaults: 10 score-index bits for conditional branches, 8
+    // for indirect ones, six candidates.
+    EXPECT_EQ(DynamicPathConditionalPredictor(12).sizeBytes(),
+              1024u + 1024u * 6 * 4 / 8);
+    EXPECT_EQ(DynamicPathIndirectPredictor(9).sizeBytes(),
+              2048u + 256u * 6 * 4 / 8);
+}
+
+TEST(DynamicPath, SingleCandidateEqualsFixedLength)
+{
+    // With one candidate there is nothing to select: every branch
+    // uses length L and trains one entry, which is FLP(L) exactly,
+    // for both branch classes.
+    constexpr unsigned k = 10;
+    for (const char *name : {"gcc", "perl", "li"}) {
+        auto trace = workload::generateTrace(
+            workload::findBenchmark(name), workload::InputKind::Test,
+            0.05);
+        for (const unsigned length : {1u, 5u, 17u, 32u}) {
+            DynamicPathConditionalPredictor dynamic_cond(k, {length});
+            PathConditionalPredictor flp_cond(k, length);
+            DynamicPathIndirectPredictor dynamic_ind(k, {length});
+            PathIndirectPredictor flp_ind(k, length);
+            sim::Simulator simulator;
+            simulator.addConditional(&dynamic_cond);
+            simulator.addConditional(&flp_cond);
+            simulator.addIndirect(&dynamic_ind);
+            simulator.addIndirect(&flp_ind);
+            trace.reset();
+            simulator.run(trace);
+            for (const auto &results : {simulator.conditionalResults(),
+                                        simulator.indirectResults()}) {
+                ASSERT_GT(results[1].branches, 0u) << name;
+                EXPECT_EQ(results[0].branches, results[1].branches)
+                    << name << " L=" << length;
+                EXPECT_EQ(results[0].mispredictions,
+                          results[1].mispredictions)
+                    << name << " L=" << length;
+            }
+        }
+    }
 }
 
 TEST(DynamicPath, Names)

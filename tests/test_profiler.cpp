@@ -6,11 +6,17 @@
  */
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <type_traits>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "core/path_predictor.h"
 #include "core/profiler.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
+#include "workload/benchmarks.h"
 
 namespace {
 
@@ -404,6 +410,69 @@ TEST(IndirectProfiler, Step2RequiresStep1)
     Profiler profiler(options, true);
     trace::VectorTraceSource empty;
     EXPECT_THROW(profiler.runStep2(empty), std::runtime_error);
+}
+
+// --- Step 1 against the predictors it stands for ----------------------
+
+/**
+ * Simulator results of FLP(k, L) for every L in 1..32, in length
+ * order, over @p trace for @p Table's branch class.
+ */
+template <typename Table>
+std::vector<sim::PredictorResult>
+fixedLengthResults(trace::TraceSource &trace, unsigned k)
+{
+    std::vector<std::unique_ptr<PathPredictor<Table>>> flps;
+    sim::Simulator simulator;
+    for (unsigned length = 1; length <= maxPathLength; ++length) {
+        flps.push_back(std::make_unique<PathPredictor<Table>>(k, length));
+        if constexpr (std::is_same_v<Table, DirectionTable>)
+            simulator.addConditional(flps.back().get());
+        else
+            simulator.addIndirect(flps.back().get());
+    }
+    trace.reset();
+    simulator.run(trace);
+    return std::is_same_v<Table, DirectionTable>
+        ? simulator.conditionalResults()
+        : simulator.indirectResults();
+}
+
+template <typename Table>
+void
+expectSweepMatchesFixedLength(trace::TraceSource &trace,
+                              const std::string &name)
+{
+    constexpr unsigned k = 10;
+    ProfileOptions options;
+    options.indexBits = k;
+    Profiler profiler(options, std::is_same_v<Table, TargetTable>);
+    const FixedLengthSweep sweep = profiler.runStep1(trace);
+    const auto results = fixedLengthResults<Table>(trace, k);
+    ASSERT_GT(sweep.branches, 0u) << name;
+    for (unsigned length = 1; length <= maxPathLength; ++length) {
+        const sim::PredictorResult &flp = results[length - 1];
+        EXPECT_EQ(sweep.branches, flp.branches)
+            << name << " L=" << length;
+        EXPECT_EQ(sweep.mispredictions[length - 1], flp.mispredictions)
+            << name << " L=" << length;
+    }
+}
+
+TEST(Step1Metamorphic, SweepEqualsFixedLengthPredictors)
+{
+    // Step 1's private length-L table is the table of FLP(L) (Section
+    // 3.5), so the sweep's count at L must equal a Simulator replay of
+    // PathPredictor(k, L), for every L and both branch classes. This
+    // ties whichever step-1 kernel the host runs (AVX-512 or scalar)
+    // to the predictor it stands for.
+    for (const char *name : {"gcc", "perl", "li"}) {
+        auto trace = workload::generateTrace(
+            workload::findBenchmark(name), workload::InputKind::Profile,
+            0.05);
+        expectSweepMatchesFixedLength<DirectionTable>(trace, name);
+        expectSweepMatchesFixedLength<TargetTable>(trace, name);
+    }
 }
 
 // --- CandidateSelector (white box) -------------------------------------

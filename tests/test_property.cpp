@@ -13,6 +13,7 @@
 #include "sim/simulator.h"
 #include "trace/trace_stats.h"
 #include "util/rng.h"
+#include "workload/benchmarks.h"
 #include "workload/engine.h"
 #include "workload/generator.h"
 
@@ -159,6 +160,46 @@ TEST(VlpFlpEquivalence, IndirectConstantAssignmentMatches)
     const auto results = simulator.indirectResults();
     ASSERT_GT(results[0].branches, 0u);
     EXPECT_EQ(results[0].mispredictions, results[1].mispredictions);
+}
+
+TEST(VlpFlpEquivalence, ExplicitAssignmentMatchesFixedLength)
+{
+    // Explicit per-branch entries, not the default, carry length L
+    // here: the default is a different length, so any pc the lookup
+    // missed would show up as a divergence from FLP(L).
+    constexpr unsigned k = 10;
+    for (const char *name : {"gcc", "perl", "li"}) {
+        auto test_trace =
+            generateTrace(findBenchmark(name), InputKind::Test, 0.05);
+        for (const unsigned length : {1u, 5u, 17u, 32u}) {
+            core::HashAssignment assignment(length == 1 ? 2 : 1);
+            trace::BranchRecord record;
+            test_trace.reset();
+            while (test_trace.next(record))
+                assignment.assign(record.pc, length);
+
+            core::PathConditionalPredictor flp_cond(k, length);
+            core::PathConditionalPredictor vlp_cond(k, assignment);
+            core::PathIndirectPredictor flp_ind(k, length);
+            core::PathIndirectPredictor vlp_ind(k, assignment);
+            sim::Simulator simulator;
+            simulator.addConditional(&flp_cond);
+            simulator.addConditional(&vlp_cond);
+            simulator.addIndirect(&flp_ind);
+            simulator.addIndirect(&vlp_ind);
+            test_trace.reset();
+            simulator.run(test_trace);
+            for (const auto &results : {simulator.conditionalResults(),
+                                        simulator.indirectResults()}) {
+                ASSERT_GT(results[0].branches, 0u) << name;
+                EXPECT_EQ(results[0].branches, results[1].branches)
+                    << name << " L=" << length;
+                EXPECT_EQ(results[0].mispredictions,
+                          results[1].mispredictions)
+                    << name << " L=" << length;
+            }
+        }
+    }
 }
 
 TEST(SimulatorAccumulation, MultipleRunsAddUp)

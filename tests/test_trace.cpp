@@ -14,7 +14,6 @@
 #include "trace/branch_record.h"
 #include "trace/streaming.h"
 #include "trace/text_io.h"
-#include "trace/trace_filter.h"
 #include "trace/trace_io.h"
 #include "trace/trace_source.h"
 #include "trace/trace_stats.h"
@@ -447,76 +446,6 @@ TEST(TextIo, FileRoundTrip)
     std::remove(path.c_str());
     EXPECT_THROW(loadTextTrace("/no/such/file.txt"),
                  std::runtime_error);
-}
-
-TEST(WindowTraceSource, SkipAndTake)
-{
-    VectorTraceSource inner;
-    for (int i = 0; i < 10; ++i)
-        inner.append(make(4 * i, 4 * i + 4, true,
-                          BranchKind::Conditional));
-
-    WindowTraceSource window(inner, 3, 4);
-    BranchRecord record;
-    std::vector<std::uint64_t> pcs;
-    while (window.next(record))
-        pcs.push_back(record.pc);
-    ASSERT_EQ(pcs.size(), 4u);
-    EXPECT_EQ(pcs.front(), 12u);
-    EXPECT_EQ(pcs.back(), 24u);
-
-    // Reset rewinds the whole window, including the skip.
-    window.reset();
-    EXPECT_TRUE(window.next(record));
-    EXPECT_EQ(record.pc, 12u);
-}
-
-TEST(WindowTraceSource, SkipBeyondEndIsEmpty)
-{
-    VectorTraceSource inner;
-    inner.append(make(4, 8, true, BranchKind::Conditional));
-    WindowTraceSource window(inner, 5, 0);
-    BranchRecord record;
-    EXPECT_FALSE(window.next(record));
-}
-
-TEST(WindowTraceSource, ZeroTakeIsUnlimited)
-{
-    VectorTraceSource inner;
-    for (int i = 0; i < 5; ++i)
-        inner.append(make(4 * i, 4 * i + 4, true,
-                          BranchKind::Conditional));
-    WindowTraceSource window(inner, 2, 0);
-    BranchRecord record;
-    int seen = 0;
-    while (window.next(record))
-        ++seen;
-    EXPECT_EQ(seen, 3);
-}
-
-TEST(FilterTraceSource, PassesMatchingRecordsOnly)
-{
-    VectorTraceSource inner;
-    inner.append(make(4, 8, true, BranchKind::Conditional));
-    inner.append(make(8, 16, true, BranchKind::IndirectJump));
-    inner.append(make(16, 20, false, BranchKind::Conditional));
-    inner.append(make(20, 24, true, BranchKind::Return));
-
-    FilterTraceSource filtered(
-        inner,
-        [](const BranchRecord &record) {
-            return record.isConditional();
-        });
-    BranchRecord record;
-    int seen = 0;
-    while (filtered.next(record)) {
-        EXPECT_TRUE(record.isConditional());
-        ++seen;
-    }
-    EXPECT_EQ(seen, 2);
-    filtered.reset();
-    EXPECT_TRUE(filtered.next(record));
-    EXPECT_EQ(record.pc, 4u);
 }
 
 TEST(TraceStats, CountsPerKind)

@@ -367,11 +367,6 @@ TEST(PackedCounterTable, MatchesSaturatingCounterAtEveryWidth)
                 packed.set(index, forced);
                 reference[index] = SaturatingCounter(
                     bits, static_cast<int>(forced));
-            } else if (action == 1) {
-                const bool taken = rng.nextBool(0.5);
-                EXPECT_EQ(packed.predictThenUpdate(index, taken),
-                          reference[index].predictTaken());
-                reference[index].update(taken);
             } else {
                 const bool taken = rng.nextBool(0.5);
                 packed.update(index, taken);
