@@ -274,7 +274,9 @@ ServerStats
 ExperimentServer::stats() const
 {
     std::lock_guard<std::mutex> lock(registryMutex_);
-    return stats_;
+    ServerStats stats = stats_;
+    stats.hashMemoHits = hashMemo_.hits();
+    return stats;
 }
 
 void
@@ -680,6 +682,7 @@ ExperimentServer::runOperation(
         options.readMode = trace::parseReadMode(spec.traceReadMode);
         options.store = store;
         options.cancel = request.cancel;
+        options.hashMemo = &hashMemo_;
         progress({"trace suite", 0, 1});
         sim::TraceSuiteRunner runner(std::move(options));
         const sim::SuiteReport suite = runner.run();

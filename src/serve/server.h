@@ -26,7 +26,10 @@
  * directory (counters are per-instance; concurrent instances are safe
  * — PR4's atomic publishes), so the result frame's cacheHits /
  * cacheMisses attribute store activity to exactly that request, and
- * `cacheHit` marks a fully warm answer.
+ * `cacheHit` marks a fully warm answer. The daemon also keeps one
+ * bounded trace::ContentHashMemo across requests, so a warm
+ * `trace-suite` request over an unchanged corpus validates each
+ * trace's header but does not re-hash its bytes.
  *
  * Shutdown: notifyShutdown() is async-signal-safe (one write to a
  * self-pipe), so the CLI's SIGTERM handler can call it directly. The
@@ -50,6 +53,7 @@
 
 #include "serve/protocol.h"
 #include "serve/request_queue.h"
+#include "trace/content_hash.h"
 #include "util/socket.h"
 
 namespace vlp {
@@ -88,6 +92,8 @@ struct ServerStats
     std::uint64_t completed = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t failed = 0;
+    /** Trace digests served by the hash memo instead of hashing. */
+    std::uint64_t hashMemoHits = 0;
 };
 
 class ExperimentServer
@@ -239,6 +245,9 @@ class ExperimentServer
     std::deque<std::uint64_t> finishedOrder_;
     std::uint64_t nextId_ = 1;
     ServerStats stats_;
+
+    /** Trace digests shared by every trace-suite request. */
+    trace::ContentHashMemo hashMemo_;
 
     std::mutex connectionsMutex_;
     std::vector<std::shared_ptr<Connection>> connections_;

@@ -793,6 +793,7 @@ TraceSuiteRunner::run()
     prefetch_options.threads = jobs;
     prefetch_options.retry = retryPolicy(options_);
     prefetch_options.cancel = options_.cancel;
+    prefetch_options.hashMemo = options_.hashMemo;
     trace::TracePrefetcher prefetch(prefetch_paths, prefetch_options);
 
     // Phase A+B: validate both traces of each pair and collect the

@@ -70,6 +70,9 @@
 #include "trace/mmap_file.h"
 
 namespace vlp {
+namespace trace {
+class ContentHashMemo;
+} // namespace trace
 namespace store {
 class ArtifactStore;
 class CheckpointJournal;
@@ -123,6 +126,13 @@ struct TraceSuiteOptions
     std::size_t prefetchWindow = 0;
     /** Optional artifact store shared by all workers. */
     std::shared_ptr<store::ArtifactStore> store;
+    /**
+     * Content-hash memo of a long-lived process (the serve daemon
+     * owns one), so traces unchanged since an earlier run skip the
+     * hash (trace::ContentHashMemo); null = hash every trace, as the
+     * one-shot CLI does.
+     */
+    trace::ContentHashMemo *hashMemo = nullptr;
     /**
      * Pin the suite-wide global history lengths instead of deriving
      * them from the profiled pairs (nullopt = derive; an explicit 0

@@ -65,6 +65,10 @@ class MmapByteFile : public ByteFile
     const std::string &name() const override { return path_; }
     const std::uint8_t *view(std::uint64_t offset,
                              std::size_t size) override;
+    std::optional<FileStamp> stamp() override
+    {
+        return stampDescriptor(fd_);
+    }
 
     /** Times the mapping window was (re)established — observability
      *  for the windowed-remap tests. */

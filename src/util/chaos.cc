@@ -160,6 +160,7 @@ knownSections()
         "serve.accept.drop",
         "serve.admission.queue-full",
         "serve.cancel.step",
+        "serve.hashmemo.miss",
         "serve.heartbeat.stall",
         "serve.send.slow",
         "store.fetch.checksum-mismatch",

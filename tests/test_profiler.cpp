@@ -475,6 +475,43 @@ TEST(Step1Metamorphic, SweepEqualsFixedLengthPredictors)
     }
 }
 
+/** The length step 1 ranks first for @p profile: most correct
+ *  predictions, ties to the shorter length. */
+unsigned
+step1BestLength(const BranchProfile &profile)
+{
+    unsigned best = 1;
+    for (unsigned length = 2; length <= maxPathLength; ++length) {
+        if (profile.correct[length - 1] > profile.correct[best - 1])
+            best = length;
+    }
+    return best;
+}
+
+TEST(Step2Metamorphic, SingleCandidateKeepsTheStep1BestLength)
+{
+    // With one candidate per branch, step 2 has nothing to choose
+    // between: every iteration tests the same assignment, and the
+    // final one must give each branch its step-1 best length.
+    auto trace = workload::generateTrace(workload::findBenchmark("gcc"),
+                                         workload::InputKind::Profile,
+                                         0.05);
+    for (const bool indirect : {false, true}) {
+        SCOPED_TRACE(indirect ? "indirect" : "conditional");
+        ProfileOptions options;
+        options.indexBits = 10;
+        options.candidates = 1;
+        Profiler profiler(options, indirect);
+        const HashAssignment assignment = profiler.profile(trace);
+        ASSERT_FALSE(profiler.branchProfiles().empty());
+        for (const auto &[pc, profile] : profiler.branchProfiles()) {
+            ASSERT_TRUE(assignment.contains(pc)) << std::hex << pc;
+            EXPECT_EQ(assignment.lookup(pc), step1BestLength(profile))
+                << std::hex << pc;
+        }
+    }
+}
+
 // --- CandidateSelector (white box) -------------------------------------
 
 std::unordered_map<std::uint64_t, BranchProfile>

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <gtest/gtest.h>
@@ -33,11 +34,14 @@
 #include "serve/server.h"
 #include "sim/report.h"
 #include "sim/service.h"
+#include "trace/trace_io.h"
 #include "util/cancel.h"
+#include "util/chaos.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/socket.h"
 #include "util/version.h"
+#include "workload/benchmarks.h"
 
 namespace {
 
@@ -78,6 +82,51 @@ suiteSpec(unsigned jobs)
     spec.suite.bytes = 1024;
     spec.suite.jobs = jobs;
     return spec;
+}
+
+serve::SubmitSpec
+traceSuiteSpec(const std::string &directory, unsigned jobs)
+{
+    serve::SubmitSpec spec;
+    spec.op = "trace-suite";
+    spec.tracesDirectory = directory;
+    spec.traceBytes = 2048;
+    spec.traceJobs = jobs;
+    return spec;
+}
+
+/** A small paired corpus: profile and test traces of two Table-3
+ *  benchmarks under the `.profile.vbt`/`.test.vbt` convention. */
+void
+writePairedCorpus(const std::string &directory)
+{
+    for (const char *name : {"gcc", "perl"}) {
+        const auto &spec = workload::findBenchmark(name);
+        trace::saveTrace(
+            workload::generateTrace(spec, workload::InputKind::Profile),
+            directory + "/" + name + ".profile.vbt");
+        trace::saveTrace(
+            workload::generateTrace(spec, workload::InputKind::Test),
+            directory + "/" + name + ".test.vbt");
+    }
+}
+
+/** Stdout of `vlpsim <arguments>`; the command must exit 0. */
+std::string
+runCli(const std::string &arguments)
+{
+    const std::string command =
+        std::string(VLPSIM_CLI) + " " + arguments + " 2>/dev/null";
+    std::FILE *pipe = ::popen(command.c_str(), "r");
+    if (pipe == nullptr)
+        throw std::runtime_error("popen failed: " + command);
+    std::string out;
+    char buffer[4096];
+    std::size_t got = 0;
+    while ((got = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0)
+        out.append(buffer, got);
+    EXPECT_EQ(::pclose(pipe), 0) << command;
+    return out;
 }
 
 serve::SubmitSpec
@@ -354,6 +403,31 @@ TEST(Protocol, SubmitSuiteRoundTrips)
     EXPECT_EQ(parsed.suite.bytes, 1024u);
     EXPECT_EQ(parsed.suite.jobs, 4u);
     EXPECT_EQ(parsed.priority, -2);
+}
+
+TEST(Protocol, SubmitTraceSuiteRoundTrips)
+{
+    serve::SubmitSpec spec = traceSuiteSpec("/data/corpus", 3);
+    spec.pairsManifest = "/data/pairs.txt";
+    spec.traceReadMode = "stdio";
+    spec.priority = 5;
+    const std::string frame = serve::submitFrame(spec);
+    const auto parsed = serve::parseSubmit(util::Json::parse(frame));
+    EXPECT_EQ(parsed.op, "trace-suite");
+    EXPECT_EQ(parsed.tracesDirectory, "/data/corpus");
+    EXPECT_EQ(parsed.pairsManifest, "/data/pairs.txt");
+    EXPECT_EQ(parsed.traceBytes, 2048u);
+    EXPECT_EQ(parsed.traceJobs, 3u);
+    EXPECT_EQ(parsed.traceReadMode, "stdio");
+    EXPECT_EQ(parsed.priority, 5);
+    EXPECT_EQ(parsed.cost(frame.size()), frame.size() + 2048);
+
+    // Optional fields stay off the wire and parse back to defaults.
+    const auto plain = serve::parseSubmit(util::Json::parse(
+        serve::submitFrame(traceSuiteSpec("corpus", 1))));
+    EXPECT_EQ(plain.pairsManifest, "");
+    EXPECT_EQ(plain.traceReadMode, "auto");
+    EXPECT_EQ(plain.priority, 0);
 }
 
 TEST(Protocol, SubmitSweepRoundTripsAndCostsSumOfBudgets)
@@ -880,6 +954,69 @@ TEST_F(ServeTest, WarmReportMatchesCliJsonByteForByte)
             util::toPrettyJson(result.at("report")) + "\n";
         EXPECT_EQ(serveBytes, cliBytes.str()) << "jobs " << jobs;
     }
+}
+
+TEST_F(ServeTest, TraceSuiteAnswerMatchesCliJsonByteForByte)
+{
+    TempDir corpus;
+    writePairedCorpus(corpus.path());
+    const std::string cli = runCli("suite --traces " + corpus.path()
+                                   + " 2048 --jobs 2 --no-cache"
+                                     " --format json");
+    ASSERT_NE(cli.find("\"pairsOk\": \"2\""), std::string::npos) << cli;
+
+    startServer({});
+    const auto client = connect();
+    // One cold answer (hashes every trace, fills the store), then two
+    // warm ones served from the store.
+    for (int round = 0; round < 3; ++round) {
+        const auto result =
+            submitAndAwait(*client, traceSuiteSpec(corpus.path(), 2));
+        ASSERT_EQ(result.at("status").asString(), "ok") << round;
+        EXPECT_EQ(util::toPrettyJson(result.at("report")) + "\n", cli)
+            << "round " << round;
+        EXPECT_EQ(result.at("cacheHit").asBool(), round > 0) << round;
+        if (round > 0) {
+            EXPECT_EQ(result.at("cacheMisses").asUint(), 0u) << round;
+        }
+    }
+}
+
+TEST_F(ServeTest, ForcedHashMemoMissesLeaveTheAnswerUnchanged)
+{
+    TempDir corpus;
+    writePairedCorpus(corpus.path());
+    // Let the coarse clock pass the traces' timestamps, so the first
+    // request's digests are not racy and the memo keeps them.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    startServer({});
+    const auto client = connect();
+    submitAndAwait(*client, traceSuiteSpec(corpus.path(), 2));
+    EXPECT_EQ(server().stats().hashMemoHits, 0u);
+    const auto remembered =
+        submitAndAwait(*client, traceSuiteSpec(corpus.path(), 2));
+    ASSERT_EQ(remembered.at("status").asString(), "ok");
+    EXPECT_EQ(server().stats().hashMemoHits, 4u);
+
+    struct ChaosOff
+    {
+        ~ChaosOff() { util::chaos::disable(); }
+    } chaos_off;
+    util::chaos::Config config;
+    config.enabled = true;
+    config.activateProbability = 1.0;
+    config.fireProbability = 1.0;
+    config.only = {"serve.hashmemo.miss"};
+    util::chaos::configure(config);
+    const auto forgotten =
+        submitAndAwait(*client, traceSuiteSpec(corpus.path(), 2));
+    ASSERT_EQ(forgotten.at("status").asString(), "ok");
+    // All four traces reached the memo, and each lookup missed.
+    EXPECT_EQ(util::chaos::counters()["serve.hashmemo.miss"].fired, 4u);
+    EXPECT_EQ(server().stats().hashMemoHits, 4u);
+    EXPECT_TRUE(forgotten.at("cacheHit").asBool());
+    EXPECT_EQ(util::toCompactJson(forgotten.at("report")),
+              util::toCompactJson(remembered.at("report")));
 }
 
 } // anonymous namespace
