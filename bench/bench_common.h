@@ -71,8 +71,8 @@ reduction(const vlp::sim::RateEntry &base,
  * Wall-clock run summary with a branches-per-second throughput line.
  *
  * Printed to stderr so that a binary's table output on stdout stays
- * byte-identical no matter the --jobs value (bench_throughput and the
- * acceptance scripts diff stdout).
+ * byte-identical no matter the --jobs value (the golden checks diff
+ * stdout).
  */
 class RunSummary
 {

@@ -246,7 +246,15 @@ class Step1Tables
      * width is 2 bits, so a word holds 32 counters (entry >> 5
      * selects the word, (entry & 31) * 2 the bit position) —
      * mirroring PackedCounterTable's layout for bits == 2.
+     *
+     * GCC 12 reports -Wmaybe-uninitialized inside avx512fintrin.h for
+     * several intrinsics inlined here: their unmasked forms pass a
+     * deliberately uninitialised `_mm512_undefined_*()` pass-through
+     * operand that the all-ones mask never reads. The warning is a
+     * false positive, so it is silenced for this function only.
      */
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
     __attribute__((target("avx512f,avx512vl,avx512dq,avx512bw")))
     void
     accessAllAvx512(const PathIndexBank::RawView view, unsigned lo,
@@ -344,6 +352,7 @@ class Step1Tables
             _mm512_mask_storeu_epi64(misses + base, active, missed);
         }
     }
+#pragma GCC diagnostic pop
 #endif
 
     unsigned indexBits_;

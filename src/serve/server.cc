@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -753,11 +752,6 @@ ExperimentServer::execute(const std::shared_ptr<Request> &request)
         // report is byte-identical to `vlpsim suite --format json`.
         sim::stampBuildInfo(report);
 
-        std::ostringstream json;
-        sim::JsonReportSink sink;
-        sink.write(report, json);
-        const util::Json document = util::Json::parse(json.str());
-
         store::StoreCounters counters;
         if (store)
             counters = store->counters();
@@ -772,7 +766,7 @@ ExperimentServer::execute(const std::shared_ptr<Request> &request)
             ++stats_.completed;
         }
         request->connection->sendLine(resultFrame(
-            request->id, document, counters.hits, counters.misses,
+            request->id, report, counters.hits, counters.misses,
             counters.inserts, warm, predictions));
         util::inform("serve: request " + std::to_string(request->id)
                      + " done (" + (warm ? "warm" : "cold") + ", "

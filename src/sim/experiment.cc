@@ -238,7 +238,8 @@ ExperimentContext::profilerEntry(const ProfileInput &input,
         options.history = history;
         it = profilers_
                  .emplace(key,
-                          ProfilerEntry{core::Profiler(options, indirect)})
+                          ProfilerEntry{core::Profiler(options, indirect),
+                                        false, std::nullopt})
                  .first;
     }
     return it->second;

@@ -282,9 +282,8 @@ CsvReportSink::write(const Report &report, std::ostream &out)
 // --- JSON sink ------------------------------------------------------
 
 void
-JsonReportSink::write(const Report &report, std::ostream &out)
+writeReport(const Report &report, util::JsonWriter &writer)
 {
-    util::JsonWriter writer;
     writer.beginObject();
     writer.member("schema", "vlpsim-report");
     writer.member("version", std::uint64_t{reportSchemaVersion});
@@ -351,6 +350,13 @@ JsonReportSink::write(const Report &report, std::ostream &out)
     }
     writer.endArray();
     writer.endObject();
+}
+
+void
+JsonReportSink::write(const Report &report, std::ostream &out)
+{
+    util::JsonWriter writer;
+    writeReport(report, writer);
     out << writer.str() << "\n";
 }
 

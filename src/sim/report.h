@@ -40,6 +40,7 @@
 namespace vlp {
 namespace util {
 class Json;
+class JsonWriter;
 } // namespace util
 
 namespace sim {
@@ -224,6 +225,13 @@ class CsvReportSink : public ReportSink
   public:
     void write(const Report &report, std::ostream &out) override;
 };
+
+/**
+ * Emit @p report as one vlpsim-report document through @p writer, in
+ * the writer's style: the pretty sink below and the serve result frame
+ * (compact) both render through this.
+ */
+void writeReport(const Report &report, util::JsonWriter &writer);
 
 /** The versioned JSON schema (see docs/FORMATS.md). */
 class JsonReportSink : public ReportSink

@@ -58,8 +58,8 @@ struct RunOptions
     /** Register --jobs and the cache flags on @p parser. */
     void registerFlags(util::ArgParser &parser);
 
-    /** Register only the cache flags (for binaries whose worker
-     *  count is managed elsewhere, e.g. bench_throughput). */
+    /** Register only the cache flags (for commands whose worker
+     *  count is managed elsewhere, e.g. `vlpsim serve --workers`). */
     void registerCacheFlags(util::ArgParser &parser);
 
     /** Open the configured store; null when caching is off. */

@@ -86,12 +86,6 @@ ArgParser::allowExtraPositionals(const std::string &name,
     positionals_.push_back(Positional{name + "...", help, false});
 }
 
-void
-ArgParser::allowExtra()
-{
-    passUnknown_ = true;
-}
-
 const ArgParser::Flag *
 ArgParser::findFlag(const std::string &name) const
 {
@@ -126,13 +120,8 @@ ArgParser::parse(int argc, char **argv, int begin)
             has_inline = true;
         }
         const Flag *flag = findFlag(name);
-        if (flag == nullptr) {
-            if (passUnknown_) {
-                extra_.push_back(argument);
-                continue;
-            }
+        if (flag == nullptr)
             fail("unknown flag: " + name);
-        }
         std::string value;
         if (flag->takesValue) {
             if (has_inline) {

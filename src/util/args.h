@@ -9,10 +9,6 @@
  * form (`--jobs=4`). `--help` (and `-h`) print the full usage text to
  * stdout and exit 0; malformed or unknown arguments print an error to
  * stderr and exit 2, matching the historical bench behavior.
- *
- * Programs that must forward unrecognized flags to another parser
- * (bench_throughput hands `--benchmark_*` flags to google-benchmark)
- * call allowExtra() and read the leftovers back from extra().
  */
 
 #ifndef VLPSIM_UTIL_ARGS_H
@@ -77,13 +73,6 @@ class ArgParser
                                const std::string &help);
 
     /**
-     * Collect unknown `--flags` into extra() instead of rejecting
-     * them (their values stay attached only in `--flag=value` form,
-     * so pass-through consumers must accept that form).
-     */
-    void allowExtra();
-
-    /**
      * Parse @p argv starting at @p begin (1 for a program, 2 for a
      * subcommand). Prints usage and exits 0 on --help; prints an
      * error and exits 2 on malformed input.
@@ -91,9 +80,6 @@ class ArgParser
      */
     std::vector<std::string> parse(int argc, char **argv,
                                    int begin = 1);
-
-    /** Unknown flags kept by allowExtra(), in argv order. */
-    const std::vector<std::string> &extra() const { return extra_; }
 
     /** Write the full usage/help text. */
     void printUsage(std::ostream &out) const;
@@ -132,8 +118,6 @@ class ArgParser
     std::vector<Flag> flags_;
     std::vector<Positional> positionals_;
     bool variadicTail_ = false;
-    bool passUnknown_ = false;
-    std::vector<std::string> extra_;
 };
 
 /**

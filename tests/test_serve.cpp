@@ -34,6 +34,7 @@
 #include "serve/server.h"
 #include "sim/report.h"
 #include "sim/service.h"
+#include "sim/suite_runner.h"
 #include "trace/trace_io.h"
 #include "util/cancel.h"
 #include "util/chaos.h"
@@ -517,6 +518,52 @@ TEST(Protocol, ServerFramesParseWithExpectedFields)
     EXPECT_EQ(error.at("id").asUint(), 0u);
 }
 
+/** The result frame renders its report once, compact; the bytes must
+ *  equal the earlier render-pretty, parse, re-serialise path. */
+TEST(Protocol, ResultFrameMatchesReparsedPrettyReport)
+{
+    const auto reparsedFrame = [](const sim::Report &report) {
+        std::ostringstream pretty;
+        sim::JsonReportSink().write(report, pretty);
+        util::JsonWriter writer(util::JsonWriter::Style::Compact);
+        writer.beginObject();
+        writer.member("type", "result");
+        writer.member("id", std::uint64_t{7});
+        writer.member("status", "ok");
+        writer.member("cacheHits", std::uint64_t{1});
+        writer.member("cacheMisses", std::uint64_t{2});
+        writer.member("cacheInserts", std::uint64_t{3});
+        writer.member("cacheHit", false);
+        writer.member("predictions", std::uint64_t{42});
+        writer.key("report");
+        util::writeJson(writer, util::Json::parse(pretty.str()));
+        writer.endObject();
+        return writer.str();
+    };
+
+    sim::SuiteCompareSpec suite;
+    suite.bytes = 1024;
+    suite.jobs = 2;
+    sim::Report suite_report = sim::runSuiteCompare(suite).report;
+    sim::stampBuildInfo(suite_report);
+    EXPECT_EQ(serve::resultFrame(7, suite_report, 1, 2, 3, false, 42),
+              reparsedFrame(suite_report));
+
+    TempDir corpus;
+    writePairedCorpus(corpus.path());
+    sim::TraceSuiteOptions options;
+    options.directory = corpus.path();
+    options.bytes = 2048;
+    options.jobs = 2;
+    sim::Report trace_report =
+        sim::TraceSuiteRunner(std::move(options)).run().toReport();
+    ASSERT_NE(trace_report.meta("pairsOk"), nullptr);
+    ASSERT_EQ(*trace_report.meta("pairsOk"), "2");
+    sim::stampBuildInfo(trace_report);
+    EXPECT_EQ(serve::resultFrame(7, trace_report, 1, 2, 3, false, 42),
+              reparsedFrame(trace_report));
+}
+
 // --- cooperative cancellation ---------------------------------------
 
 TEST(Cancellation, TokenIsSetOnceAndThrows)
@@ -679,16 +726,19 @@ TEST_F(ServeTest, DuplicateRequestIsServedWarmFromTheStore)
     ASSERT_EQ(cold.at("status").asString(), "ok");
     EXPECT_FALSE(cold.at("cacheHit").asBool());
     EXPECT_GT(cold.at("cacheMisses").asUint(), 0u);
+    const std::string cold_report = util::toCompactJson(cold.at("report"));
 
-    const auto warm = submitAndAwait(*client, suiteSpec(2));
-    ASSERT_EQ(warm.at("status").asString(), "ok");
-    EXPECT_TRUE(warm.at("cacheHit").asBool());
-    EXPECT_GT(warm.at("cacheHits").asUint(), 0u);
-    EXPECT_EQ(warm.at("cacheMisses").asUint(), 0u);
-
-    // The warm answer is the same document, byte for byte.
-    EXPECT_EQ(util::toCompactJson(warm.at("report")),
-              util::toCompactJson(cold.at("report")));
+    // Twenty sequential duplicates on the same connection: each one is
+    // answered from the store, and is the same document byte for byte.
+    for (int round = 0; round < 20; ++round) {
+        const auto warm = submitAndAwait(*client, suiteSpec(2));
+        ASSERT_EQ(warm.at("status").asString(), "ok") << round;
+        EXPECT_TRUE(warm.at("cacheHit").asBool()) << round;
+        EXPECT_GT(warm.at("cacheHits").asUint(), 0u) << round;
+        EXPECT_EQ(warm.at("cacheMisses").asUint(), 0u) << round;
+        EXPECT_EQ(util::toCompactJson(warm.at("report")), cold_report)
+            << round;
+    }
 }
 
 TEST_F(ServeTest, EightConcurrentWarmRequestsAllSucceed)

@@ -436,20 +436,6 @@ TEST(ArgParser, ParsesFlagsInBothFormsAndPositionals)
     EXPECT_EQ(positionals[1], "8192");
 }
 
-TEST(ArgParser, AllowExtraCollectsUnknownFlags)
-{
-    ArgParser parser("prog", "test program");
-    std::uint64_t jobs = 0;
-    parser.addUint("--jobs", "N", "workers", &jobs);
-    parser.allowExtra();
-    auto argv = makeArgv(
-        {"prog", "--benchmark_filter=foo", "--jobs", "2"});
-    parser.parse(static_cast<int>(argv.size()) - 1, argv.data());
-    EXPECT_EQ(jobs, 2u);
-    ASSERT_EQ(parser.extra().size(), 1u);
-    EXPECT_EQ(parser.extra()[0], "--benchmark_filter=foo");
-}
-
 TEST(ArgParserDeathTest, HelpExitsZeroAndListsFlags)
 {
     auto run = [] {

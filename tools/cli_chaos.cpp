@@ -28,6 +28,10 @@
  *       completed + cancelled + failed after a drain
  *     - completed suite answers are byte-identical to a chaos-off
  *       reference report
+ *     - with --suite, two trace-suite requests on the corpus go
+ *       through the daemon's content-hash memo: an answer that
+ *       quarantines nothing is byte-identical to the chaos-off
+ *       trace-suite report, and every quarantine carries a cause
  *   front end (always runs; synthetic workload, no corpus needed)
  *     - spurious checkpoint restores forced into the speculative
  *       fetch engine (frontend.checkpoint.restore) leave every
@@ -522,13 +526,52 @@ awaitTerminalState(serve::ServeClient &client, std::uint64_t id)
     return "wedged";
 }
 
+/** @p report stamped and rendered the way a daemon result frame
+ *  embeds it. */
+std::string
+compactReport(sim::Report report)
+{
+    sim::stampBuildInfo(report);
+    util::JsonWriter writer(util::JsonWriter::Style::Compact);
+    sim::writeReport(report, writer);
+    return writer.str();
+}
+
+/**
+ * Check one trace-suite answer: with no quarantine it must equal the
+ * chaos-off @p reference byte for byte; otherwise each quarantined
+ * pair must name its cause.
+ */
+void
+checkTraceSuiteAnswer(const util::Json &report,
+                      const std::string &reference, std::uint64_t id,
+                      CampaignResult &result)
+{
+    const std::string where = "serve: trace-suite request "
+        + std::to_string(id);
+    const util::Json &metadata = report.at("metadata");
+    if (metadata.at("pairsQuarantined").asString() == "0") {
+        if (util::toCompactJson(report) != reference) {
+            result.flag(where + " quarantined nothing, yet its report "
+                                "differs from the chaos-off reference");
+        }
+        return;
+    }
+    for (const auto &[key, value] : metadata.members()) {
+        if (key.rfind("quarantine:", 0) == 0 && value.asString().empty())
+            result.flag(where + ": pair '" + key.substr(11)
+                        + "' quarantined without a cause");
+    }
+}
+
 /**
  * The serve campaign: an in-process daemon with chaos armed, a
  * deterministic request mix (suite answers, sleeps, client
- * cancellations), and the terminal-state/stats/byte-identity
- * invariants checked after a drain. Counter replay is not asserted
- * here — heartbeat and send reaches are timing-dependent by nature —
- * but every lifecycle invariant must hold under any interleaving.
+ * cancellations, and with a corpus two trace-suite answers), and the
+ * terminal-state/stats/byte-identity invariants checked after a
+ * drain. Counter replay is not asserted here — heartbeat and send
+ * reaches are timing-dependent by nature — but every lifecycle
+ * invariant must hold under any interleaving.
  */
 void
 runServeCampaign(const ChaosArgs &args, const fs::path &work,
@@ -536,21 +579,30 @@ runServeCampaign(const ChaosArgs &args, const fs::path &work,
 {
     result.serveRan = true;
 
-    // Chaos-off reference for the suite answers, computed before the
-    // switchboard arms: the daemon's result frames must match it
-    // byte-for-byte no matter which faults fire.
+    // Chaos-off references, computed before the switchboard arms:
+    // the daemon's result frames must match them byte-for-byte no
+    // matter which faults fire.
     sim::SuiteCompareSpec suite_spec;
     suite_spec.indirect = false;
     suite_spec.bytes = args.bytes;
     suite_spec.jobs = 1;
     util::chaos::disable();
-    sim::Report reference = sim::runSuiteCompare(suite_spec).report;
-    sim::stampBuildInfo(reference);
-    std::ostringstream reference_json;
-    sim::JsonReportSink sink;
-    sink.write(reference, reference_json);
     const std::string reference_compact =
-        util::toCompactJson(util::Json::parse(reference_json.str()));
+        compactReport(sim::runSuiteCompare(suite_spec).report);
+    // The trace-suite requests come last, the second one warm, so the
+    // daemon's content-hash memo both records and answers.
+    const unsigned trace_requests = args.suiteDirectory.empty() ? 0 : 2;
+    std::string trace_reference;
+    if (trace_requests > 0) {
+        sim::TraceSuiteOptions trace_options;
+        trace_options.directory = args.suiteDirectory;
+        trace_options.bytes = args.bytes;
+        trace_options.jobs = args.jobs;
+        trace_reference = compactReport(
+            sim::TraceSuiteRunner(std::move(trace_options))
+                .run()
+                .toReport());
+    }
 
     serve::ServerOptions options;
     options.listen = util::net::Endpoint::parse("127.0.0.1:0");
@@ -565,13 +617,18 @@ runServeCampaign(const ChaosArgs &args, const fs::path &work,
 
     std::vector<std::uint64_t> accepted_ids;
     std::uint64_t rejected = 0;
-    for (unsigned r = 0; r < args.requests; ++r) {
+    for (unsigned r = 0; r < args.requests + trace_requests; ++r) {
         std::unique_ptr<serve::ServeClient> client =
             connectWithRetry(server.endpoint());
 
         serve::SubmitSpec spec;
-        const bool cancel_it = r % 4 == 2;
-        if (r % 4 == 0 || r % 4 == 1) {
+        const bool cancel_it = r < args.requests && r % 4 == 2;
+        if (r >= args.requests) {
+            spec.op = "trace-suite";
+            spec.tracesDirectory = args.suiteDirectory;
+            spec.traceBytes = args.bytes;
+            spec.traceJobs = args.jobs;
+        } else if (r % 4 == 0 || r % 4 == 1) {
             spec.op = "suite";
             spec.suite = suite_spec;
         } else {
@@ -622,6 +679,11 @@ runServeCampaign(const ChaosArgs &args, const fs::path &work,
                             + " returned a report that differs from "
                               "the chaos-off reference");
                     }
+                } else if (type == "result"
+                           && spec.op == "trace-suite") {
+                    checkTraceSuiteAnswer(terminal.at("report"),
+                                          trace_reference,
+                                          submission.id, result);
                 }
             }
         } catch (const std::runtime_error &error) {

@@ -3,8 +3,7 @@
  * Serve-family subcommands: the daemon plus its client verbs.
  *
  *   serve     run the async experiment daemon (SIGTERM drains)
- *   submit    submit one experiment (or a warm-throughput run with
- *             --repeat) and stream its result back
+ *   submit    submit one experiment and stream its result back
  *   status    query server-wide or per-request state
  *   cancel    cancel a queued or running request
  *   shutdown  ask a daemon to drain and stop
@@ -16,9 +15,7 @@
 #include "cli_commands.h"
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -288,11 +285,34 @@ struct SubmitFlags
     }
 };
 
-/** Run one submit + await; returns the terminal frame. */
-util::Json
-submitOnce(serve::ServeClient &client, const serve::SubmitSpec &spec,
-           bool quiet)
+} // anonymous namespace
+
+int
+cmdSubmit(int argc, char **argv)
 {
+    util::ArgParser parser(
+        "vlpsim submit",
+        "submit an experiment to a serve daemon and stream the "
+        "result");
+    SubmitFlags flags;
+    std::string save;
+    bool quiet = false;
+    flags.registerFlags(parser);
+    parser.addString("--save", "FILE",
+                     "write the result's report document to FILE "
+                     "(pretty JSON, byte-identical to "
+                     "`vlpsim suite --format json`)",
+                     &save);
+    parser.addSwitch("--quiet", "suppress progress on stderr",
+                     &quiet);
+    std::uint64_t timeout_ms = 0;
+    registerRecvTimeout(parser, &timeout_ms);
+    registerLogLevel(parser);
+    parser.parse(argc, argv, 2);
+
+    const serve::SubmitSpec spec = flags.toSpec(parser);
+    serve::ServeClient client(requireEndpoint(parser, flags.server),
+                              static_cast<unsigned>(timeout_ms));
     const serve::ServeClient::Submission submission =
         client.submit(spec);
     if (!submission.accepted) {
@@ -305,7 +325,7 @@ submitOnce(serve::ServeClient &client, const serve::SubmitSpec &spec,
                   << " (queue position " << submission.position
                   << ")\n";
     }
-    return client.await(
+    const util::Json terminal = client.await(
         submission.id, [&](const util::Json &frame) {
             if (quiet)
                 return;
@@ -319,109 +339,25 @@ submitOnce(serve::ServeClient &client, const serve::SubmitSpec &spec,
                           << frame.at("total").numberText() << ")\n";
             }
         });
-}
-
-} // anonymous namespace
-
-int
-cmdSubmit(int argc, char **argv)
-{
-    util::ArgParser parser(
-        "vlpsim submit",
-        "submit an experiment to a serve daemon and stream the "
-        "result; --repeat N measures warm-request throughput");
-    SubmitFlags flags;
-    std::string save;
-    std::uint64_t repeat = 1;
-    std::string bench_out;
-    bool quiet = false;
-    flags.registerFlags(parser);
-    parser.addString("--save", "FILE",
-                     "write the result's report document to FILE "
-                     "(pretty JSON, byte-identical to "
-                     "`vlpsim suite --format json`)",
-                     &save);
-    parser.addUint("--repeat", "N",
-                   "submit the request N times sequentially "
-                   "(default 1)",
-                   &repeat, 1u << 20);
-    parser.addString("--bench-out", "FILE",
-                     "write a BENCH_serve.json throughput artifact",
-                     &bench_out);
-    parser.addSwitch("--quiet", "suppress progress on stderr",
-                     &quiet);
-    std::uint64_t timeout_ms = 0;
-    registerRecvTimeout(parser, &timeout_ms);
-    registerLogLevel(parser);
-    parser.parse(argc, argv, 2);
-    if (repeat == 0)
-        repeat = 1;
-
-    const serve::SubmitSpec spec = flags.toSpec(parser);
-    serve::ServeClient client(requireEndpoint(parser, flags.server),
-                              static_cast<unsigned>(timeout_ms));
-
-    const auto start = std::chrono::steady_clock::now();
-    util::Json last;
-    std::uint64_t cache_hit_answers = 0;
-    for (std::uint64_t i = 0; i < repeat; ++i) {
-        last = submitOnce(client, spec, quiet || repeat > 1);
-        const std::string &type = last.at("type").asString();
-        if (type != "result") {
-            std::cerr << "request " << last.at("id").numberText()
-                      << " " << type << "\n";
-            return 1;
-        }
-        if (const util::Json *warm = last.find("cacheHit")) {
-            if (warm->isBool() && warm->asBool())
-                ++cache_hit_answers;
-        }
+    const std::string &type = terminal.at("type").asString();
+    if (type != "result") {
+        std::cerr << "request " << terminal.at("id").numberText() << " "
+                  << type << "\n";
+        return 1;
     }
-    const double seconds = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start).count();
 
-    const util::Json &report = last.at("report");
     if (!save.empty()) {
         std::ofstream out(save, std::ios::binary);
         if (!out)
             util::fatal("cannot open output file: " + save);
-        out << util::toPrettyJson(report) << "\n";
+        out << util::toPrettyJson(terminal.at("report")) << "\n";
     }
-    std::cout << "request " << last.at("id").numberText()
+    std::cout << "request " << terminal.at("id").numberText()
               << " done: cacheHits="
-              << last.at("cacheHits").numberText()
-              << " cacheMisses=" << last.at("cacheMisses").numberText()
+              << terminal.at("cacheHits").numberText()
+              << " cacheMisses=" << terminal.at("cacheMisses").numberText()
               << " warm="
-              << (last.at("cacheHit").asBool() ? "yes" : "no") << "\n";
-    if (repeat > 1) {
-        const double per_second =
-            seconds > 0.0 ? static_cast<double>(repeat) / seconds
-                          : 0.0;
-        std::fprintf(stderr,
-                     "throughput: %llu requests in %.3f s "
-                     "(%.1f req/s, %llu warm)\n",
-                     static_cast<unsigned long long>(repeat), seconds,
-                     per_second,
-                     static_cast<unsigned long long>(
-                         cache_hit_answers));
-    }
-    if (!bench_out.empty()) {
-        util::JsonWriter writer;
-        writer.beginObject();
-        writer.member("benchmark", "serve_warm_requests");
-        writer.member("requests", std::uint64_t{repeat});
-        writer.member("warmAnswers", cache_hit_answers);
-        writer.member("seconds", seconds);
-        writer.member("requestsPerSecond",
-                      seconds > 0.0
-                          ? static_cast<double>(repeat) / seconds
-                          : 0.0);
-        writer.endObject();
-        std::ofstream out(bench_out, std::ios::binary);
-        if (!out)
-            util::fatal("cannot open output file: " + bench_out);
-        out << writer.str() << "\n";
-    }
+              << (terminal.at("cacheHit").asBool() ? "yes" : "no") << "\n";
     return 0;
 }
 
