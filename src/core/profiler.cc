@@ -9,6 +9,7 @@
 #include <cassert>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <type_traits>
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -365,8 +366,8 @@ class Step1Tables
 /**
  * Replay a record stream over one shard's private predictors.
  * @p replay is a callable invoking its argument once per record in
- * trace order — either a loop over an in-memory vector or a streaming
- * pass over a trace source (bounded memory for on-disk traces).
+ * trace order — either a loop over an in-memory span or a
+ * trace::forEachRecord() pass over a trace source.
  */
 template <typename Table, typename Replay>
 void
@@ -414,10 +415,10 @@ runShard(Replay &&replay, const ProfileOptions &options,
     });
 }
 
-/** A Replay over an in-memory record vector (see runShard()). */
-struct VectorReplay
+/** A Replay over in-memory records (see runShard()). */
+struct SpanReplay
 {
-    const std::vector<trace::BranchRecord> &records;
+    std::span<const trace::BranchRecord> records;
 
     template <typename Body>
     void
@@ -439,46 +440,35 @@ runStep1Sharded(trace::TraceSource &profile_trace,
                 std::unordered_map<std::uint64_t, BranchProfile>
                     &profiles)
 {
-    profile_trace.reset();
     const std::vector<LengthShard> shards = makeLengthShards(
         options.minLength, options.maxLength, options.jobs);
     std::vector<ShardResult> results(shards.size());
 
-    const auto *vector_source =
-        dynamic_cast<const trace::VectorTraceSource *>(&profile_trace);
-
     if (shards.size() == 1) {
-        // A single shard makes exactly one pass, so a non-vector
-        // source (e.g. a streaming .vbt reader) is consumed in place —
-        // peak trace-buffer memory stays whatever the source buffers,
-        // not the whole trace.
-        if (vector_source != nullptr) {
-            runShard<Table>(VectorReplay{vector_source->records()},
-                             options, shards[0], true, results[0]);
-        } else {
-            runShard<Table>(
-                [&profile_trace](auto &&body) {
-                    trace::BranchRecord record;
-                    while (profile_trace.next(record))
-                        body(record);
-                },
-                options, shards[0], true, results[0]);
-        }
+        // A single shard makes exactly one pass, straight over the
+        // source's resident records or, for a trace over the resident
+        // budget, streamed through next() in bounded memory.
+        runShard<Table>(
+            [&profile_trace](auto &&body) {
+                trace::forEachRecord(profile_trace, body);
+            },
+            options, shards[0], true, results[0]);
     } else {
         // Workers need independent, read-only passes over the
-        // records; borrow the vector of an in-memory trace, otherwise
+        // records; borrow the source's resident records, otherwise
         // materialize the stream once (a documented memory/speed
         // trade: intra-trace sharding buys wall-clock at the cost of
         // holding the records).
-        const std::vector<trace::BranchRecord> *records = nullptr;
+        std::span<const trace::BranchRecord> records;
         std::vector<trace::BranchRecord> materialized;
-        if (vector_source != nullptr) {
-            records = &vector_source->records();
+        if (const auto resident = profile_trace.resident()) {
+            records = *resident;
         } else {
-            trace::BranchRecord record;
-            while (profile_trace.next(record))
-                materialized.push_back(record);
-            records = &materialized;
+            trace::forEachRecord(profile_trace,
+                                 [&](const trace::BranchRecord &record) {
+                                     materialized.push_back(record);
+                                 });
+            records = materialized;
         }
         // The controlling thread takes the leader shard; the rest run
         // on a transient pool. Tasks must not leak exceptions into
@@ -490,8 +480,8 @@ runStep1Sharded(trace::TraceSource &profile_trace,
         for (std::size_t i = 1; i < shards.size(); ++i) {
             pool.submit([&, i] {
                 try {
-                    runShard<Table>(VectorReplay{*records}, options,
-                                     shards[i], false, results[i]);
+                    runShard<Table>(SpanReplay{records}, options, shards[i],
+                                     false, results[i]);
                 } catch (...) {
                     std::lock_guard<std::mutex> lock(failure_mutex);
                     if (!failure)
@@ -499,8 +489,8 @@ runStep1Sharded(trace::TraceSource &profile_trace,
                 }
             });
         }
-        runShard<Table>(VectorReplay{*records}, options, shards[0],
-                         true, results[0]);
+        runShard<Table>(SpanReplay{records}, options, shards[0], true,
+                         results[0]);
         pool.wait();
         if (failure)
             std::rethrow_exception(failure);
@@ -558,16 +548,15 @@ runStep2Iterations(trace::TraceSource &profile_trace,
             options.indexBits, assignment, historyFor(options));
         misses.clear();
 
-        profile_trace.reset();
-        trace::BranchRecord record;
-        while (profile_trace.next(record)) {
-            if (Table::covers(record)) {
-                if (!Table::hit(predictor.predict(record), record))
-                    ++misses[record.pc];
-                predictor.update(record);
-            }
-            predictor.observe(record);
-        }
+        trace::forEachRecord(
+            profile_trace, [&](const trace::BranchRecord &record) {
+                if (Table::covers(record)) {
+                    if (!Table::hit(predictor.predict(record), record))
+                        ++misses[record.pc];
+                    predictor.update(record);
+                }
+                predictor.observe(record);
+            });
         selector.recordResults(assignment, misses);
     }
     return selector.finalAssignment();

@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -232,6 +233,15 @@ ExperimentServer::stop()
     for (std::thread &worker : workers_) {
         if (worker.joinable())
             worker.join();
+    }
+    if (!options_.cacheDirectory.empty()) {
+        store::StoreCounters counters;
+        {
+            std::lock_guard<std::mutex> lock(registryMutex_);
+            counters = std::exchange(storeCounters_, {});
+        }
+        store::ArtifactStore::appendStats(options_.cacheDirectory,
+                                          counters);
     }
     {
         // Unblock every connection reader; their threads then exit.
@@ -735,8 +745,8 @@ ExperimentServer::execute(const std::shared_ptr<Request> &request)
                 heartbeatFrame(request->id, sequence));
         });
 
+    std::shared_ptr<store::ArtifactStore> store;
     try {
-        std::shared_ptr<store::ArtifactStore> store;
         if (!options_.cacheDirectory.empty()) {
             store::StoreOptions store_options;
             store_options.directory = options_.cacheDirectory;
@@ -791,6 +801,13 @@ ExperimentServer::execute(const std::shared_ptr<Request> &request)
                     + " failed: " + error.what());
         request->connection->sendLine(
             errorFrame(request->id, error.what()));
+    }
+    if (store) {
+        // The daemon appends the store activity of all its requests
+        // to stats.log once, at stop(), not one line per answer.
+        const store::StoreCounters counters = store->takeCounters();
+        std::lock_guard<std::mutex> lock(registryMutex_);
+        storeCounters_ += counters;
     }
     retireRequest(request);
 }

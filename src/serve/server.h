@@ -26,7 +26,10 @@
  * directory (counters are per-instance; concurrent instances are safe
  * — PR4's atomic publishes), so the result frame's cacheHits /
  * cacheMisses attribute store activity to exactly that request, and
- * `cacheHit` marks a fully warm answer. The daemon also keeps one
+ * `cacheHit` marks a fully warm answer. The daemon sums those
+ * counters and appends them to the cache's stats.log once, when it
+ * stops, so a long-running daemon does not grow the log per request.
+ * The daemon also keeps one
  * bounded trace::ContentHashMemo across requests, so a warm
  * `trace-suite` request over an unchanged corpus validates each
  * trace's header but does not re-hash its bytes.
@@ -53,6 +56,7 @@
 
 #include "serve/protocol.h"
 #include "serve/request_queue.h"
+#include "store/artifact_store.h"
 #include "trace/content_hash.h"
 #include "util/socket.h"
 
@@ -245,6 +249,9 @@ class ExperimentServer
     std::deque<std::uint64_t> finishedOrder_;
     std::uint64_t nextId_ = 1;
     ServerStats stats_;
+    /** Store activity of the requests run so far, appended to
+     *  stats.log by stop(). */
+    store::StoreCounters storeCounters_;
 
     /** Trace digests shared by every trace-suite request. */
     trace::ContentHashMemo hashMemo_;

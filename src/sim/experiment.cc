@@ -276,9 +276,7 @@ ExperimentContext::ensureStep1(ProfilerEntry &entry,
         }
     }
 
-    const auto source = input.trace();
-    source->reset();
-    profiler.runStep1(*source);
+    profiler.runStep1(*input.trace());
     entry.step1Done = true;
 
     if (key) {
@@ -316,9 +314,7 @@ ExperimentContext::ensureAssignment(ProfilerEntry &entry,
     }
 
     ensureStep1(entry, input);
-    const auto source = input.trace();
-    source->reset();
-    entry.assignment = profiler.runStep2(*source);
+    entry.assignment = profiler.runStep2(*input.trace());
     if (key)
         store_->insert(*key, store::encodeAssignment(*entry.assignment));
     return *entry.assignment;
@@ -461,7 +457,6 @@ runComparison(const std::string &name, trace::TraceSource &eval_trace,
     for (const auto &predictor : indirects)
         simulator.addIndirect(predictor.get());
 
-    eval_trace.reset();
     simulator.run(eval_trace);
 
     ComparisonRow row;

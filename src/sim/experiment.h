@@ -65,8 +65,12 @@ struct ComparisonRow
  * trace::hashTraceFile), not the synthetic generator version or
  * VLPSIM_SCALE: artifacts survive renames and moves of the trace
  * file, and a changed file can never be served stale artifacts.
- * External traces are replayed through a bounded-memory streaming
- * reader; they are never materialized whole.
+ * External traces are replayed through a streaming reader. A parked
+ * session decodes a trace within its resident budget once, on its
+ * first replay, and serves every later replay (step 1, the step-2
+ * iterations, the comparison rows) from that buffer; resetting
+ * @ref session releases it. A trace over the budget streams in
+ * bounded-memory chunks on every replay.
  */
 struct ExternalTrace
 {
@@ -84,8 +88,9 @@ struct ExternalTrace
     trace::FileOpener opener;
     /** Optional persistent open: a reader kept alive across replays
      *  (the suite runner's single-pass ingestion parks the open it
-     *  validated and hashed here). When set, openExternal() rewinds
-     *  and returns this session instead of reopening the path. */
+     *  validated and hashed here), owning the trace's replay buffer.
+     *  When set, openExternal() rewinds and returns this session
+     *  instead of reopening the path. */
     std::shared_ptr<trace::StreamingTraceReader> session;
 };
 
@@ -196,9 +201,9 @@ class ExperimentContext
     }
 
     /**
-     * Open an external trace for one streaming replay: the parked
-     * session rewound when the trace carries one, else a fresh
-     * bounded-memory reader. External traces are deliberately
+     * Open an external trace for replay: the parked session rewound
+     * when the trace carries one (its replay buffer, once built, is
+     * reused), else a fresh reader. External traces are deliberately
      * excluded from the in-memory trace LRU. Replays of a shared
      * session must not overlap (the suite runner serializes per
      * trace by sharding).

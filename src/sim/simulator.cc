@@ -84,8 +84,7 @@ Simulator::addIndirect(pred::IndirectPredictor *predictor)
 void
 Simulator::run(trace::TraceSource &source)
 {
-    trace::BranchRecord record;
-    while (source.next(record)) {
+    trace::forEachRecord(source, [this](const trace::BranchRecord &record) {
         if (record.isConditional()) {
             predictAll(conditional_, conditionalSlots_, record,
                        record.taken, trackPerBranch_);
@@ -105,7 +104,7 @@ Simulator::run(trace::TraceSource &source)
             predictor->observe(record);
         for (pred::IndirectPredictor *predictor : indirect_)
             predictor->observe(record);
-    }
+    });
 }
 
 std::vector<PredictorResult>

@@ -69,7 +69,8 @@ class Simulator
      */
     void setTrackPerBranch(bool track) { trackPerBranch_ = track; }
 
-    /** Consume @p source from its current position to exhaustion. */
+    /** Replay all of @p source, first record to last
+     *  (trace::forEachRecord). */
     void run(trace::TraceSource &source);
 
     /** Results for conditional predictors, in registration order. */

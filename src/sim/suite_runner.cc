@@ -875,6 +875,11 @@ TraceSuiteRunner::run()
             item.outcome.conditionalBranches = item.condSweep.branches;
             item.outcome.indirectBranches = item.indSweep.branches;
             item.valid = true;
+            // Both sweeps shared one decode of the profile trace. Its
+            // buffer is not held across the global-length barrier:
+            // phase C decodes it once more for step 2 and the train
+            // rows.
+            item.profile.session->releaseResident();
         } catch (const util::CancelledError &) {
             throw; // aborts the run; never a quarantine cause
         } catch (const util::TransientError &error) {

@@ -88,8 +88,9 @@ struct TraceSuiteOptions
     /** Predictor table budget in bytes. */
     std::size_t bytes = 8 * 1024;
     /** Worker threads across traces (0 = one per hardware thread;
-     *  per-trace step-1 sweeps stay serial so peak memory is bounded
-     *  by jobs x one streaming chunk). */
+     *  per-trace step-1 sweeps stay serial so peak trace memory is
+     *  bounded by jobs x two replay buffers — see
+     *  StreamingTraceReader::resident()). */
     unsigned jobs = 1;
     /** Checkpoint journal path; empty disables checkpointing. */
     std::string checkpoint;

@@ -13,6 +13,7 @@
 #include <optional>
 #include <sstream>
 #include <unistd.h>
+#include <utility>
 
 #include "util/chaos.h"
 #include "util/checksum.h"
@@ -349,6 +350,17 @@ ArtifactStore::collectGarbage()
     }
 }
 
+StoreCounters &
+StoreCounters::operator+=(const StoreCounters &other)
+{
+    hits += other.hits;
+    misses += other.misses;
+    inserts += other.inserts;
+    corrupt += other.corrupt;
+    evicted += other.evicted;
+    return *this;
+}
+
 StoreCounters
 ArtifactStore::counters() const
 {
@@ -356,28 +368,36 @@ ArtifactStore::counters() const
     return counters_;
 }
 
+StoreCounters
+ArtifactStore::takeCounters()
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(counters_, StoreCounters{});
+}
+
 void
 ArtifactStore::flushStats()
 {
-    StoreCounters flushed;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        flushed = counters_;
-        counters_ = StoreCounters{};
-    }
-    if (flushed.hits == 0 && flushed.misses == 0 && flushed.inserts == 0
-        && flushed.corrupt == 0 && flushed.evicted == 0) {
+    appendStats(directory_, takeCounters());
+}
+
+void
+ArtifactStore::appendStats(const std::string &directory,
+                           const StoreCounters &counters)
+{
+    if (counters.hits == 0 && counters.misses == 0
+        && counters.inserts == 0 && counters.corrupt == 0
+        && counters.evicted == 0) {
         return;
     }
-    std::ofstream log(fs::path(directory_) / statsLogName,
-                      std::ios::app);
+    std::ofstream log(fs::path(directory) / statsLogName, std::ios::app);
     if (!log) {
-        util::warn("cannot append to cache stats log in " + directory_);
+        util::warn("cannot append to cache stats log in " + directory);
         return;
     }
-    log << "hits=" << flushed.hits << " misses=" << flushed.misses
-        << " inserts=" << flushed.inserts << " corrupt="
-        << flushed.corrupt << " evicted=" << flushed.evicted << "\n";
+    log << "hits=" << counters.hits << " misses=" << counters.misses
+        << " inserts=" << counters.inserts << " corrupt="
+        << counters.corrupt << " evicted=" << counters.evicted << "\n";
 }
 
 ArtifactStore::Summary

@@ -56,6 +56,8 @@ struct StoreCounters
     std::uint64_t corrupt = 0;
     /** Entries removed by the garbage collector. */
     std::uint64_t evicted = 0;
+
+    StoreCounters &operator+=(const StoreCounters &other);
 };
 
 /** Thread-safe handle on one on-disk artifact cache. */
@@ -92,6 +94,13 @@ class ArtifactStore
     /** This instance's counters so far. */
     StoreCounters counters() const;
 
+    /**
+     * This instance's counters so far, reset to zero: the caller
+     * takes over recording them, and flushStats() will not append
+     * them again.
+     */
+    StoreCounters takeCounters();
+
     /** Cache root directory. */
     const std::string &directory() const { return directory_; }
 
@@ -100,6 +109,11 @@ class ArtifactStore
      * them, so `vlpsim cache stats` sees runs from every process.
      */
     void flushStats();
+
+    /** Append @p counters to @p directory's stats.log as one line;
+     *  all-zero counters append nothing. */
+    static void appendStats(const std::string &directory,
+                            const StoreCounters &counters);
 
     /** Aggregate view of a cache directory. */
     struct Summary

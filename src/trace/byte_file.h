@@ -88,6 +88,15 @@ class ByteFile
     }
 
     /**
+     * Hand back the memory behind the windows view() has served (a
+     * mapped backend unmaps them, so their pages leave the process's
+     * resident set). Earlier view() pointers become invalid; a later
+     * view() maps again. A no-op for backends that serve no views;
+     * decorators forward.
+     */
+    virtual void releaseViews() {}
+
+    /**
      * The content-hashing decorator wrapping this stream, if this
      * *is* one (see trace/content_hash.h). Lets the streaming reader
      * fuse its VBT2 stream checksum into the decorator's hash kernel

@@ -95,6 +95,7 @@ class HashingByteFile : public ByteFile
     const std::string &name() const override { return inner_->name(); }
     const std::uint8_t *view(std::uint64_t offset,
                              std::size_t size) override;
+    void releaseViews() override { inner_->releaseViews(); }
     HashingByteFile *hasher() override { return this; }
     std::optional<FileStamp> stamp() override { return inner_->stamp(); }
 

@@ -44,6 +44,7 @@ class ChaosFile : public ByteFile
     }
 
     void seek(std::uint64_t offset) override { inner_->seek(offset); }
+    void releaseViews() override { inner_->releaseViews(); }
     std::uint64_t size() override { return inner_->size(); }
     const std::string &name() const override { return inner_->name(); }
     std::optional<FileStamp> stamp() override { return inner_->stamp(); }

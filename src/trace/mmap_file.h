@@ -65,6 +65,7 @@ class MmapByteFile : public ByteFile
     const std::string &name() const override { return path_; }
     const std::uint8_t *view(std::uint64_t offset,
                              std::size_t size) override;
+    void releaseViews() override { unmap(); }
     std::optional<FileStamp> stamp() override
     {
         return stampDescriptor(fd_);

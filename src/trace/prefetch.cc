@@ -83,7 +83,11 @@ TracePrefetcher::openTrace(const std::string &path,
                         std::move(hashing), options.chunkRecords);
                     // Header validation passed; complete the identity
                     // in the same open (zero-copy when the file maps).
+                    // The hashed pages are not needed again until the
+                    // session is replayed: unmap them so a parked open
+                    // holds no trace bytes in memory.
                     open.contentHash = hasher.finish();
+                    hasher.releaseViews();
                     if (before && hasher.stamp() == before)
                         memo->record(path, *before, open.contentHash,
                                      opened_ns);

@@ -5,9 +5,12 @@
 
 #include "trace/streaming.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <new>
 
 #include "trace/trace_io.h"
 #include "util/logging.h"
@@ -23,12 +26,38 @@ using vbt::recordBytes;
 /** Block size for whole-file hashing (mapped and buffered paths). */
 constexpr std::size_t hashBlockBytes = 64 * 1024;
 
+/** Raise the corrupt-record error; out of line so decodeRecord()
+ *  stays small enough to inline into the replay loops. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+corruptRecord(const char *what)
+{
+    util::fatal(std::string("corrupt trace record: ") + what);
+}
+
+/** Decode and validate the record at @p bytes. */
+inline BranchRecord
+decodeRecord(const std::uint8_t *bytes)
+{
+    if (bytes[0] >= numBranchKinds)
+        corruptRecord("bad branch kind");
+    if (bytes[1] > 1)
+        corruptRecord("bad taken flag");
+    BranchRecord record;
+    record.kind = static_cast<BranchKind>(bytes[0]);
+    record.taken = bytes[1] != 0;
+    record.pc = getU64(bytes + 2);
+    record.nextPc = getU64(bytes + 10);
+    return record;
+}
+
 } // anonymous namespace
 
-StreamingTraceReader::StreamingTraceReader(std::unique_ptr<ByteFile> file,
-                                           std::size_t chunk_records)
+StreamingTraceReader::StreamingTraceReader(
+        std::unique_ptr<ByteFile> file, std::size_t chunk_records,
+        std::size_t resident_budget_bytes)
     : file_(std::move(file)), hashing_(file_->hasher()),
-      chunkRecords_(chunk_records > 0 ? chunk_records : 1)
+      chunkRecords_(chunk_records > 0 ? chunk_records : 1),
+      residentBudgetBytes_(resident_budget_bytes)
 {
     std::uint8_t header[vbt::headerBytesV2];
     readFully(header, vbt::headerBytesV1);
@@ -140,6 +169,15 @@ StreamingTraceReader::refill()
         peakBufferBytes_ = bytes;
 }
 
+void
+StreamingTraceReader::verifyChecksum() const
+{
+    if (formatVersion_ >= 2 && checksum_.digest() != expectedChecksum_) {
+        util::fatal("corrupt trace file: checksum mismatch: "
+                    + file_->name());
+    }
+}
+
 bool
 StreamingTraceReader::next(BranchRecord &record)
 {
@@ -147,23 +185,61 @@ StreamingTraceReader::next(BranchRecord &record)
         return false;
     if (bufferPos_ >= bufferBytes_)
         refill();
-    const std::uint8_t *bytes = chunk_ + bufferPos_;
-    if (bytes[0] >= numBranchKinds)
-        util::fatal("corrupt trace record: bad branch kind");
-    if (bytes[1] > 1)
-        util::fatal("corrupt trace record: bad taken flag");
-    record.kind = static_cast<BranchKind>(bytes[0]);
-    record.taken = bytes[1] != 0;
-    record.pc = getU64(bytes + 2);
-    record.nextPc = getU64(bytes + 10);
-    if (formatVersion_ >= 2 && read_ + 1 == count_
-        && checksum_.digest() != expectedChecksum_) {
-        util::fatal("corrupt trace file: checksum mismatch: "
-                    + file_->name());
-    }
+    record = decodeRecord(chunk_ + bufferPos_);
+    if (read_ + 1 == count_)
+        verifyChecksum();
     bufferPos_ += recordBytes;
     ++read_;
     return true;
+}
+
+void
+detail::PageRelease::operator()(BranchRecord *records) const
+{
+    ::munmap(records, bytes);
+}
+
+std::optional<std::span<const BranchRecord>>
+StreamingTraceReader::resident()
+{
+    if (resident_)
+        return std::span<const BranchRecord>(resident_.get(), count_);
+    if (count_ == 0)
+        return std::span<const BranchRecord>();
+    if (count_ > residentBudgetBytes_ / sizeof(BranchRecord))
+        return std::nullopt;
+
+    // Anonymous pages rather than the heap: a released buffer must go
+    // back to the OS, not linger as free space in a worker's malloc
+    // arena (several MB per trace, per worker, adds up to the
+    // process's peak resident set).
+    const std::size_t bytes =
+        static_cast<std::size_t>(count_) * sizeof(BranchRecord);
+    void *pages = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_POPULATE, -1,
+                         0);
+    if (pages == MAP_FAILED)
+        return std::nullopt;
+    // Owned from here on: a decode error or read fault part way
+    // through unmaps the partial buffer as it propagates.
+    std::unique_ptr<BranchRecord[], detail::PageRelease> records(
+        static_cast<BranchRecord *>(pages), detail::PageRelease{bytes});
+
+    reset();
+    while (read_ < count_) {
+        refill();
+        for (; bufferPos_ < bufferBytes_; bufferPos_ += recordBytes) {
+            ::new (&records[read_])
+                BranchRecord(decodeRecord(chunk_ + bufferPos_));
+            ++read_;
+        }
+    }
+    verifyChecksum();
+    resident_ = std::move(records);
+    // Replays read the buffer from now on, not the file's pages.
+    reset();
+    file_->releaseViews();
+    return std::span<const BranchRecord>(resident_.get(), count_);
 }
 
 void

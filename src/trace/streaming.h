@@ -11,6 +11,15 @@
  * peak trace-buffer memory at chunkRecords * 18 bytes regardless of
  * file size — the property the external-trace suite runner relies on.
  *
+ * A trace replayed many times (step 1, the step-2 iterations, the
+ * comparison rows) should be decoded once: resident() decodes a trace
+ * whose records fit the resident budget into a page-backed replay
+ * buffer in one pass, and trace::forEachRecord() replays that buffer
+ * from then on. The buffer's pages are unmapped when it is released
+ * (releaseResident(), or the reader's destruction), so they go back
+ * to the OS instead of an allocator arena. A trace over the budget
+ * keeps streaming in chunks on every replay.
+ *
  * This is the one .vbt decoder (the layout lives in trace_io.h).
  * Validation: magic and header-vs-file-size checks at open (truncated
  * files fail before any record is served), per-record kind/taken
@@ -28,6 +37,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +50,17 @@
 namespace vlp {
 namespace trace {
 
+namespace detail {
+
+/** Unmaps a replay buffer's pages (StreamingTraceReader::resident()). */
+struct PageRelease
+{
+    std::size_t bytes = 0;
+    void operator()(BranchRecord *records) const;
+};
+
+} // namespace detail
+
 /** Streams a .vbt file as a TraceSource with bounded buffering. */
 class StreamingTraceReader : public TraceSource
 {
@@ -46,15 +68,22 @@ class StreamingTraceReader : public TraceSource
     /** Default chunk size: 4096 records = 72 KiB of buffer. */
     static constexpr std::size_t defaultChunkRecords = 4096;
 
+    /** Largest replay buffer resident() builds: 64 MiB of decoded
+     *  records (about 2.8 M). */
+    static constexpr std::size_t residentBudgetBytes = 64ull << 20;
+
     /**
      * Take ownership of @p file, validate the header, and verify the
      * file holds exactly the record bytes the header promises.
+     * @param resident_budget_bytes ceiling on the replay buffer; a
+     *        trace whose decoded records exceed it streams instead
      * @throws std::runtime_error on bad magic or truncation
      * @throws util::TransientError propagated from @p file
      */
     explicit StreamingTraceReader(
         std::unique_ptr<ByteFile> file,
-        std::size_t chunk_records = defaultChunkRecords);
+        std::size_t chunk_records = defaultChunkRecords,
+        std::size_t resident_budget_bytes = residentBudgetBytes);
 
     /** Convenience: open @p path with a plain stdio file. */
     explicit StreamingTraceReader(
@@ -67,7 +96,28 @@ class StreamingTraceReader : public TraceSource
      */
     bool next(BranchRecord &record) override;
 
+    /** Rewind the stream; a built replay buffer is kept. */
     void reset() override;
+
+    /**
+     * The decoded trace as one span, building the replay buffer on
+     * the first call (one pass over the file, validated and
+     * checksummed like next()). nullopt when the trace exceeds the
+     * resident budget or no pages could be mapped: replay then
+     * streams. A failed build leaves no buffer behind.
+     * @throws std::runtime_error / util::TransientError as next()
+     */
+    std::optional<std::span<const BranchRecord>> resident() override;
+
+    /** Unmap the replay buffer, if any; the next resident() call
+     *  decodes the file again. */
+    void releaseResident() { resident_.reset(); }
+
+    /** Bytes held by the replay buffer; 0 when none is built. */
+    std::size_t residentBytes() const
+    {
+        return resident_ ? resident_.get_deleter().bytes : 0;
+    }
 
     /** Total records according to the header. */
     std::uint64_t count() const { return count_; }
@@ -94,6 +144,9 @@ class StreamingTraceReader : public TraceSource
     /** Read exactly @p size bytes, looping over short reads. */
     void readFully(std::uint8_t *buffer, std::size_t size);
 
+    /** After the final record (VBT2): fail on a checksum mismatch. */
+    void verifyChecksum() const;
+
     std::unique_ptr<ByteFile> file_;
     HashingByteFile *hashing_ = nullptr;
     std::size_t chunkRecords_;
@@ -113,6 +166,10 @@ class StreamingTraceReader : public TraceSource
     std::size_t bufferPos_ = 0;   // byte offset of the next record
     std::size_t bufferBytes_ = 0; // valid bytes in the chunk window
     std::size_t peakBufferBytes_ = 0;
+
+    std::size_t residentBudgetBytes_;
+    /** The replay buffer: count_ decoded records, or null. */
+    std::unique_ptr<BranchRecord[], detail::PageRelease> resident_;
 };
 
 /**

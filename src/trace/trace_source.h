@@ -11,6 +11,8 @@
 #define VLPSIM_TRACE_TRACE_SOURCE_H
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "trace/branch_record.h"
@@ -40,6 +42,18 @@ class TraceSource
 
     /** Rewind to the beginning of the trace. */
     virtual void reset() = 0;
+
+    /**
+     * The whole trace as one contiguous span of records, when the
+     * source holds it in memory or can build such a copy (a
+     * StreamingTraceReader decodes its file once to do so); nullopt
+     * means the trace is replayed through next().
+     */
+    virtual std::optional<std::span<const BranchRecord>>
+    resident()
+    {
+        return std::nullopt;
+    }
 };
 
 /**
@@ -68,6 +82,12 @@ class VectorTraceSource : public TraceSource
 
     void reset() override { position_ = 0; }
 
+    std::optional<std::span<const BranchRecord>>
+    resident() override
+    {
+        return std::span<const BranchRecord>(records_);
+    }
+
     /** Append a record (used while building a trace). */
     void append(const BranchRecord &record) { records_.push_back(record); }
 
@@ -84,6 +104,27 @@ class VectorTraceSource : public TraceSource
     std::vector<BranchRecord> records_;
     std::size_t position_ = 0;
 };
+
+/**
+ * Replay every record of @p source, first to last, through @p body:
+ * straight over the resident span when the source has one, else
+ * through next() after a reset(). Step 1, step 2 and the simulator
+ * all replay traces this way.
+ */
+template <typename Body>
+void
+forEachRecord(TraceSource &source, Body &&body)
+{
+    if (const auto records = source.resident()) {
+        for (const BranchRecord &record : *records)
+            body(record);
+        return;
+    }
+    source.reset();
+    BranchRecord record;
+    while (source.next(record))
+        body(record);
+}
 
 } // namespace trace
 } // namespace vlp

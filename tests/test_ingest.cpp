@@ -23,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <gtest/gtest.h>
 #include <iterator>
 #include <map>
@@ -33,10 +34,12 @@
 #include <thread>
 #include <vector>
 
+#include "predictors/budget.h"
 #include "sim/suite_runner.h"
 #include "store/artifact_store.h"
 #include "store/checkpoint.h"
 #include "store/fault_injection.h"
+#include "store/serialize.h"
 #include "trace/byte_file.h"
 #include "trace/content_hash.h"
 #include "trace/fault_injection.h"
@@ -2002,6 +2005,290 @@ TEST_F(SuiteHarness, TransientFaultsAreRetriedToSuccessUnderMmap)
     EXPECT_GT(fired("trace.open.transient"), 0u);
     EXPECT_GT(fired("trace.read.transient"), 0u);
     EXPECT_EQ(faulty_report, clean_report);
+}
+
+// --- resident replay buffers ------------------------------------------
+
+/**
+ * A ByteFile decorator that adds the bytes each read()/view() serves
+ * to a shared tally and, once the tally would pass @p fail_after,
+ * throws one util::TransientError instead of serving.
+ */
+class TallyingFile : public trace::ByteFile
+{
+  public:
+    TallyingFile(std::unique_ptr<trace::ByteFile> inner,
+                 std::atomic<std::uint64_t> &tally,
+                 std::uint64_t fail_after = ~std::uint64_t{0})
+        : inner_(std::move(inner)), tally_(tally), failAfter_(fail_after)
+    {}
+
+    std::size_t read(void *buffer, std::size_t size) override
+    {
+        maybeFail(size);
+        const std::size_t got = inner_->read(buffer, size);
+        tally_ += got;
+        return got;
+    }
+    const std::uint8_t *view(std::uint64_t offset,
+                             std::size_t size) override
+    {
+        maybeFail(size);
+        const std::uint8_t *window = inner_->view(offset, size);
+        if (window != nullptr)
+            tally_ += size;
+        return window;
+    }
+    void seek(std::uint64_t offset) override { inner_->seek(offset); }
+    void releaseViews() override { inner_->releaseViews(); }
+    std::uint64_t size() override { return inner_->size(); }
+    const std::string &name() const override { return inner_->name(); }
+
+  private:
+    void maybeFail(std::size_t size)
+    {
+        if (tally_ + size > failAfter_) {
+            failAfter_ = ~std::uint64_t{0};
+            throw util::TransientError("injected mid-replay read fault: "
+                                       + name());
+        }
+    }
+
+    std::unique_ptr<trace::ByteFile> inner_;
+    std::atomic<std::uint64_t> &tally_;
+    std::uint64_t failAfter_;
+};
+
+/** A FileOpener decorator tallying the bytes served per file name,
+ *  optionally failing each file once past a per-file byte mark. */
+class TallyingOpener
+{
+  public:
+    explicit TallyingOpener(
+        trace::FileOpener inner,
+        std::function<std::uint64_t(const std::string &)> fail_after = {})
+        : inner_(std::move(inner)), failAfter_(std::move(fail_after))
+    {
+    }
+
+    trace::FileOpener opener()
+    {
+        return [this](const std::string &path) {
+            const std::string name = fs::path(path).filename().string();
+            std::atomic<std::uint64_t> *tally = nullptr;
+            {
+                const std::lock_guard<std::mutex> hold(mutex_);
+                tally = &tallies_[name];
+            }
+            const std::uint64_t fail_after = failAfter_
+                ? failAfter_(path) + *tally
+                : ~std::uint64_t{0};
+            return std::make_unique<TallyingFile>(inner_(path), *tally,
+                                                  fail_after);
+        };
+    }
+
+    std::uint64_t bytes(const std::string &name)
+    {
+        const std::lock_guard<std::mutex> hold(mutex_);
+        return tallies_[name].load();
+    }
+
+  private:
+    trace::FileOpener inner_;
+    std::function<std::uint64_t(const std::string &)> failAfter_;
+    std::mutex mutex_;
+    std::map<std::string, std::atomic<std::uint64_t>> tallies_;
+};
+
+/** Write the pair corpus the replay-buffer tests share. */
+void
+writePairCorpus(const std::string &directory)
+{
+    fs::create_directories(directory);
+    trace::saveTrace(makeTrace(11, 3000), directory + "/p.profile.vbt");
+    trace::saveTrace(makeTrace(12, 3000), directory + "/p.test.vbt");
+}
+
+/** Options for a one-pair suite over @p directory. */
+sim::TraceSuiteOptions
+pairOptions(const std::string &directory)
+{
+    sim::TraceSuiteOptions options;
+    options.directory = directory;
+    options.bytes = 1024;
+    options.backoffBaseMs = 0;
+    options.sleeper = [](unsigned) {};
+    return options;
+}
+
+std::string
+renderReport(const sim::SuiteReport &report)
+{
+    std::ostringstream out;
+    report.print(out);
+    return out.str();
+}
+
+TEST_F(IngestHarness, PairDecodesProfileTwiceAndTestOnce)
+{
+    // One hash pass per file, then the decodes: phase B decodes the
+    // profile for both step-1 sweeps, phase C decodes it once more for
+    // both step-2 runs and both train rows, and decodes the test trace
+    // once for both test rows. Streaming every replay instead reads
+    // the profile 18 times and the test trace twice.
+    writePairCorpus(path("corpus"));
+    for (const trace::ReadMode mode :
+         {trace::ReadMode::Mmap, trace::ReadMode::Stdio}) {
+        TallyingOpener tallying(trace::fastOpener(mode));
+        auto options = pairOptions(path("corpus"));
+        options.opener = tallying.opener();
+        const sim::SuiteReport report =
+            sim::TraceSuiteRunner(std::move(options)).run();
+        ASSERT_EQ(report.okCount(), 1u);
+        ASSERT_TRUE(report.traces[0].conditionalTrain.has_value());
+        ASSERT_TRUE(report.traces[0].indirectTrain.has_value());
+
+        const auto decodes = [&](const std::string &name) {
+            const std::uint64_t size =
+                fs::file_size(path("corpus/" + name));
+            const std::uint64_t records = size - 20;
+            const std::uint64_t served = tallying.bytes(name);
+            EXPECT_GE(served, size) << name;
+            EXPECT_EQ((served - size) % records, 0u) << name;
+            return (served - size) / records;
+        };
+        const std::uint64_t profile = decodes("p.profile.vbt");
+        EXPECT_GE(profile, 1u) << trace::readModeName(mode);
+        EXPECT_LE(profile, 2u) << trace::readModeName(mode);
+        EXPECT_EQ(decodes("p.test.vbt"), 1u) << trace::readModeName(mode);
+    }
+}
+
+TEST_F(IngestHarness, ReadFaultMidBuildLeavesNoPartialBuffer)
+{
+    const auto trace = makeTrace(13, 3000);
+    trace::saveTrace(trace, path("t.vbt"));
+    const std::uint64_t record_bytes = 3000 * 18;
+
+    // Reader level: the fault surfaces, no buffer survives it, and the
+    // next replay builds a complete one.
+    std::atomic<std::uint64_t> tally{0};
+    trace::StreamingTraceReader reader(
+        std::make_unique<TallyingFile>(
+            trace::openByteFileFast(path("t.vbt"), trace::ReadMode::Stdio),
+            tally, 20 + record_bytes / 2),
+        100);
+    std::vector<trace::BranchRecord> replayed;
+    const auto collect = [&replayed](const trace::BranchRecord &record) {
+        replayed.push_back(record);
+    };
+    EXPECT_THROW(trace::forEachRecord(reader, collect),
+                 util::TransientError);
+    EXPECT_TRUE(replayed.empty());
+    EXPECT_EQ(reader.residentBytes(), 0u);
+    trace::forEachRecord(reader, collect);
+    EXPECT_EQ(replayed, trace.records());
+    EXPECT_EQ(reader.residentBytes(),
+              3000 * sizeof(trace::BranchRecord));
+
+    // Suite level: each trace's first buffer build fails half way
+    // (past its hash pass) and is retried; the report is unchanged.
+    writePairCorpus(path("corpus"));
+    const std::string clean =
+        renderReport(sim::TraceSuiteRunner(pairOptions(path("corpus")))
+                         .run());
+    TallyingOpener faulty(
+        trace::fastOpener(trace::ReadMode::Stdio),
+        [](const std::string &file) {
+            const std::uint64_t size = fs::file_size(file);
+            return size + (size - 20) / 2;
+        });
+    auto options = pairOptions(path("corpus"));
+    options.opener = faulty.opener();
+    options.chunkRecords = 100;
+    std::uint64_t naps = 0;
+    options.sleeper = [&naps](unsigned) { ++naps; };
+    EXPECT_EQ(renderReport(sim::TraceSuiteRunner(std::move(options)).run()),
+              clean);
+    EXPECT_EQ(naps, 2u);
+}
+
+TEST_F(IngestHarness, BitFlipInTheProfilesLastChunkQuarantinesThePair)
+{
+    writePairCorpus(path("corpus"));
+    // A pc byte of the final record: only the stream checksum can
+    // catch it, after the buffer build has decoded every chunk.
+    flipBit(path("corpus/p.profile.vbt"), 20 + 18 * 2999 + 5);
+    for (const trace::ReadMode mode :
+         {trace::ReadMode::Mmap, trace::ReadMode::Stdio}) {
+        auto options = pairOptions(path("corpus"));
+        options.readMode = mode;
+        options.chunkRecords = 256;
+        const sim::SuiteReport report =
+            sim::TraceSuiteRunner(std::move(options)).run();
+        ASSERT_EQ(report.traces.size(), 1u);
+        EXPECT_EQ(report.traces[0].status, sim::TraceStatus::Quarantined)
+            << trace::readModeName(mode);
+        EXPECT_NE(report.traces[0].cause.find("checksum mismatch"),
+                  std::string::npos)
+            << report.traces[0].cause;
+    }
+}
+
+TEST_F(IngestHarness, TraceOverTheResidentBudgetStreamsToTheSameRows)
+{
+    writePairCorpus(path("corpus"));
+    const std::size_t exact = 3000 * sizeof(trace::BranchRecord);
+    {
+        trace::StreamingTraceReader fits(path("corpus/p.test.vbt"), 256);
+        trace::StreamingTraceReader over(
+            trace::openByteFile(path("corpus/p.test.vbt")), 256,
+            exact - 1);
+        EXPECT_TRUE(fits.resident().has_value());
+        EXPECT_FALSE(over.resident().has_value());
+    }
+
+    // The rows and sweeps of one pair, replayed through sessions with
+    // the given resident budget.
+    const auto rows = [&](std::size_t budget) {
+        const auto external = [&](const std::string &name) {
+            sim::ExternalTrace ext;
+            ext.name = name;
+            ext.path = path("corpus/" + name);
+            ext.contentHash = trace::hashTraceFile(ext.path);
+            ext.session = std::make_shared<trace::StreamingTraceReader>(
+                trace::openByteFile(ext.path), 256, budget);
+            return ext;
+        };
+        const sim::ExternalTrace profile = external("p.profile.vbt");
+        const sim::ExternalTrace test = external("p.test.vbt");
+        sim::ExperimentContext context;
+        std::string bytes;
+        const auto append = [&bytes](const std::vector<std::uint8_t> &b) {
+            bytes.append(b.begin(), b.end());
+        };
+        for (const bool indirect : {false, true}) {
+            const unsigned bits = indirect ? pred::indirectIndexBits(1024)
+                                           : pred::conditionalIndexBits(1024);
+            const auto &sweep = context.externalSweep(profile, bits, indirect);
+            append(store::encodeStep1Profile(sweep, {}));
+            for (const sim::ExternalTrace *eval : {&profile, &test}) {
+                append(store::encodeComparisonRow(sim::compareExternal(
+                    context, profile, *eval, 1024, 4, indirect)));
+            }
+        }
+        EXPECT_EQ(profile.session->residentBytes(),
+                  budget >= exact ? exact : 0u);
+        EXPECT_EQ(test.session->residentBytes(),
+                  budget >= exact ? exact : 0u);
+        if (budget < exact) {
+            EXPECT_LE(profile.session->peakBufferBytes(), 256u * 18);
+        }
+        return bytes;
+    };
+    EXPECT_EQ(rows(0), rows(trace::StreamingTraceReader::residentBudgetBytes));
+    EXPECT_EQ(rows(exact - 1), rows(exact));
 }
 
 } // anonymous namespace

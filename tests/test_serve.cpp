@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <gtest/gtest.h>
 #include <memory>
 #include <optional>
@@ -35,6 +36,7 @@
 #include "sim/report.h"
 #include "sim/service.h"
 #include "sim/suite_runner.h"
+#include "store/artifact_store.h"
 #include "trace/trace_io.h"
 #include "util/cancel.h"
 #include "util/chaos.h"
@@ -648,6 +650,8 @@ class ServeTest : public ::testing::Test
 
     serve::ExperimentServer &server() { return *server_; }
 
+    const std::string &cacheDirectory() const { return cacheDir_.path(); }
+
     std::unique_ptr<serve::ServeClient> connect()
     {
         return std::make_unique<serve::ServeClient>(
@@ -739,6 +743,40 @@ TEST_F(ServeTest, DuplicateRequestIsServedWarmFromTheStore)
         EXPECT_EQ(util::toCompactJson(warm.at("report")), cold_report)
             << round;
     }
+}
+
+TEST_F(ServeTest, StoreActivityReachesStatsLogOnceAtStop)
+{
+    startServer({});
+    const auto client = connect();
+    store::StoreCounters framed;
+    const auto tally = [&framed](const util::Json &result) {
+        ASSERT_EQ(result.at("status").asString(), "ok");
+        framed.hits += result.at("cacheHits").asUint();
+        framed.misses += result.at("cacheMisses").asUint();
+        framed.inserts += result.at("cacheInserts").asUint();
+    };
+    tally(submitAndAwait(*client, suiteSpec(2)));
+    for (int round = 0; round < 20; ++round)
+        tally(submitAndAwait(*client, suiteSpec(2)));
+    EXPECT_GT(framed.hits, 0u);
+
+    // Answering appends nothing; stopping appends the daemon's totals
+    // as one line, so the log grows per daemon run, not per request.
+    const std::string log = cacheDirectory() + "/stats.log";
+    EXPECT_FALSE(std::filesystem::exists(log));
+    server().stop();
+    std::ifstream in(log);
+    std::string line;
+    std::size_t lines = 0;
+    while (std::getline(in, line))
+        ++lines;
+    EXPECT_EQ(lines, 1u);
+
+    const auto summary = store::ArtifactStore::summarize(cacheDirectory());
+    EXPECT_EQ(summary.lifetime.hits, framed.hits);
+    EXPECT_EQ(summary.lifetime.misses, framed.misses);
+    EXPECT_EQ(summary.lifetime.inserts, framed.inserts);
 }
 
 TEST_F(ServeTest, EightConcurrentWarmRequestsAllSucceed)

@@ -6,6 +6,10 @@
  * must reproduce a cold run bit for bit, serial or parallel.
  */
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <time.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -378,6 +382,56 @@ TEST_F(StoreHarness, GarbageCollectorEvictsLeastRecentlyUsed)
     EXPECT_FALSE(store.fetch(b).has_value());
     EXPECT_TRUE(store.fetch(c).has_value());
     EXPECT_GE(store.counters().evicted, 1u);
+}
+
+/** The mtime of @p path, to the nanosecond. */
+timespec
+mtimeOf(const fs::path &path)
+{
+    struct stat info {};
+    EXPECT_EQ(::stat(path.c_str(), &info), 0);
+    return info.st_mtim;
+}
+
+/** Set the mtime of @p path to @p seconds ago. */
+void
+backdate(const fs::path &path, long seconds)
+{
+    timespec now {};
+    ::clock_gettime(CLOCK_REALTIME, &now);
+    const timespec times[2] = {{0, UTIME_OMIT},
+                               {now.tv_sec - seconds, now.tv_nsec}};
+    ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+}
+
+TEST_F(StoreHarness, HitRefreshesAStaleEntryForTheCollector)
+{
+    const auto payload = samplePayload(1024);
+    const std::uint64_t per_entry = 1024 + 256; // payload + header
+    ArtifactStore store = open(2 * per_entry);
+    const CacheKey a = sampleKey("aaa");
+    const CacheKey b = sampleKey("bbb");
+    store.insert(a, payload);
+    store.insert(b, payload);
+    const auto file_of = [this](const CacheKey &key) {
+        for (const fs::path &file : entryFiles()) {
+            if (file.string().find(key.hashHex()) != std::string::npos)
+                return file;
+        }
+        return fs::path();
+    };
+
+    // 'a' is the older entry, but a hit makes it the recently used one.
+    backdate(file_of(a), 100);
+    backdate(file_of(b), 50);
+    ASSERT_TRUE(store.fetch(a).has_value());
+    timespec now {};
+    ::clock_gettime(CLOCK_REALTIME, &now);
+    EXPECT_GE(mtimeOf(file_of(a)).tv_sec, now.tv_sec - 1);
+
+    store.insert(sampleKey("ccc"), payload); // over budget: evicts 'b'
+    EXPECT_TRUE(store.fetch(a).has_value());
+    EXPECT_FALSE(store.fetch(b).has_value());
 }
 
 TEST_F(StoreHarness, SummarizeVerifyAndClear)

@@ -279,9 +279,11 @@ cmdProfile(int argc, char **argv)
 
     const std::size_t bytes = parser.uintArg("bytes", args[1]);
     const bool indirect = parseIndirect(args[2]);
-    // Stream the trace instead of materializing it: profiling replays
-    // in bounded-memory chunks (zero-copy when the file maps), so
-    // multi-gigabyte inputs profile at a flat memory footprint.
+    // Stream the trace instead of materializing it: a trace within
+    // the reader's resident budget is decoded once for all profiling
+    // passes, a larger one replays in bounded-memory chunks
+    // (zero-copy when the file maps), so multi-gigabyte inputs
+    // profile at a flat memory footprint.
     trace::StreamingTraceReader trace(
         trace::openByteFileFast(args[0], read_mode));
 
