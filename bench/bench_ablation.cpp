@@ -52,7 +52,7 @@ evaluateVlp(trace::VectorTraceSource &profile_trace,
             return best;
         };
         core::HashAssignment clamped(clamp(assignment.defaultLength()));
-        for (const auto &[pc, length] : assignment.table())
+        for (const auto &[pc, length] : assignment.entries())
             clamped.assign(pc, clamp(length));
         assignment = clamped;
     }

@@ -122,7 +122,6 @@ main(int argc, char **argv)
                 simulator.addConditional(&reference.gshare);
                 simulator.addConditional(&reference.flp);
                 simulator.addConditional(&reference.vlp);
-                test_trace->reset();
                 simulator.run(*test_trace);
                 const auto expected = simulator.conditionalResults();
                 for (const auto &result : expected)
@@ -149,7 +148,6 @@ main(int argc, char **argv)
                         [&assignment](const trace::BranchRecord &r) {
                             return assignment.lookup(r.pc);
                         });
-                    test_trace->reset();
                     engine.run(*test_trace);
                     requireEquivalent(
                         name, "fetch-bundle m=" + std::to_string(m),

@@ -97,7 +97,6 @@ main(int argc, char **argv)
                     });
                 const auto test_trace =
                     context.trace(spec, workload::InputKind::Test);
-                test_trace->reset();
                 engine.run(*test_trace);
 
                 const auto results = engine.conditionalResults();

@@ -23,25 +23,12 @@ HashAssignment::HashAssignment(unsigned default_length)
     setDefaultLength(default_length);
 }
 
-unsigned
-HashAssignment::lookup(std::uint64_t pc) const
-{
-    const auto it = table_.find(pc);
-    return it == table_.end() ? defaultLength_ : it->second;
-}
-
 void
 HashAssignment::assign(std::uint64_t pc, unsigned length)
 {
     if (length < 1 || length > maxPathLength)
         util::fatal("hash function number out of range");
-    table_[pc] = length;
-}
-
-bool
-HashAssignment::contains(std::uint64_t pc) const
-{
-    return table_.find(pc) != table_.end();
+    table_.assign(pc, length);
 }
 
 void
@@ -56,7 +43,7 @@ util::Histogram
 HashAssignment::lengthHistogram() const
 {
     util::Histogram histogram(maxPathLength + 1);
-    for (const auto &[pc, length] : table_) {
+    for (const auto &[pc, length] : entries()) {
         (void)pc;
         histogram.add(length);
     }
@@ -70,7 +57,7 @@ HashAssignment::save(const std::string &path) const
     if (file == nullptr)
         util::fatal("cannot create assignment file: " + path);
     bool ok = std::fprintf(file, "default %u\n", defaultLength_) > 0;
-    for (const auto &[pc, length] : table_)
+    for (const auto &[pc, length] : entries())
         ok = ok && std::fprintf(file, "%" PRIx64 " %u\n", pc, length) > 0;
     // fclose flushes the buffer, so a full disk often surfaces only
     // here; both results decide.

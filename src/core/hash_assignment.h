@@ -10,8 +10,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
+#include "util/flat_pc_map.h"
 #include "util/stats.h"
 
 namespace vlp {
@@ -22,6 +24,9 @@ namespace core {
  * length used to predict that branch). Branches not present — those
  * not exercised during profiling, or all branches when profiling is
  * deemed too expensive — use the default number (Section 3.4).
+ *
+ * lookup() runs on every predict and update of a variable length path
+ * predictor, so the table is a flat open-addressed util::FlatPcMap.
  */
 class HashAssignment
 {
@@ -30,13 +35,21 @@ class HashAssignment
     explicit HashAssignment(unsigned default_length = 1);
 
     /** Selected hash number for the branch at @p pc. */
-    unsigned lookup(std::uint64_t pc) const;
+    unsigned
+    lookup(std::uint64_t pc) const
+    {
+        return table_.get(pc, defaultLength_);
+    }
 
     /** Assign hash number @p length to the branch at @p pc. */
     void assign(std::uint64_t pc, unsigned length);
 
     /** True if @p pc has an explicit assignment. */
-    bool contains(std::uint64_t pc) const;
+    bool
+    contains(std::uint64_t pc) const
+    {
+        return table_.find(pc) != nullptr;
+    }
 
     /** Hash number used for unassigned branches. */
     unsigned defaultLength() const { return defaultLength_; }
@@ -52,7 +65,7 @@ class HashAssignment
 
     /**
      * Write to a text file: first line the default, then one
-     * "pc length" pair (hex pc) per line.
+     * "pc length" pair (hex pc) per line, ascending by pc.
      * @throws std::runtime_error on I/O failure
      */
     void save(const std::string &path) const;
@@ -66,16 +79,16 @@ class HashAssignment
      */
     static HashAssignment load(const std::string &path);
 
-    /** Access to all assignments (pc -> length). */
-    const std::unordered_map<std::uint64_t, unsigned> &
-    table() const
+    /** All explicit assignments as (pc, length), ascending by pc. */
+    std::vector<std::pair<std::uint64_t, unsigned>>
+    entries() const
     {
-        return table_;
+        return table_.entries();
     }
 
   private:
     unsigned defaultLength_;
-    std::unordered_map<std::uint64_t, unsigned> table_;
+    util::FlatPcMap<unsigned> table_;
 };
 
 } // namespace core

@@ -89,16 +89,55 @@ class PathIndexBank
      * Compress a target address to k bits by discarding high-order
      * bits (after dropping the always-zero word-alignment bits).
      */
-    std::uint64_t compress(std::uint64_t target) const;
+    std::uint64_t
+    compress(std::uint64_t target) const
+    {
+        // Drop the word-alignment bits, then the high-order bits
+        // ("we compressed the target addresses by simply discarding
+        // the higher order bits", Section 3.1).
+        return (target >> 2) & indexMask_;
+    }
 
     /**
      * Insert the destination of a retired branch if the paper's THB
      * policy admits it (conditional/indirect; optionally returns).
+     * Inline, like index(): every replay calls it once per record.
      */
-    void observe(const trace::BranchRecord &record);
+    void
+    observe(const trace::BranchRecord &record)
+    {
+        if (options_.historyStack && observeCallStack(record))
+            return;
+        if (record.entersPathHistory(options_.includeReturns))
+            insert(record.nextPc);
+    }
 
     /** Unconditionally insert a (pre-compression) target address. */
-    void insert(std::uint64_t target);
+    void
+    insert(std::uint64_t target)
+    {
+        const std::uint64_t compressed = compress(target);
+
+        // One rotate-and-XOR maintains every hash function at once:
+        //   S_t = rotl(S_{t-1}, 1) XOR T_t,
+        //   I_X = S_t XOR rotl(S_{t-X}, X)     (see the file comment).
+        // Without rotation the ordering information is lost
+        // (ablation). The k=1 edge case degenerates correctly:
+        // (s << 1 | s) & 1 == s, matching rotl(s, 1, 1) == s.
+        if (options_.rotateTargets)
+            pathSum_ = ((pathSum_ << 1) | (pathSum_ >> (indexBits_ - 1)))
+                     & indexMask_;
+        pathSum_ ^= compressed;
+
+        // Ring-buffer insert: step the head back one slot instead of
+        // shifting all depth entries.
+        head_ = (head_ - 1) & thbMask_;
+        thb_[head_] = compressed;
+        sums_[head_] = pathSum_;
+
+        if (occupancy_ < options_.depth)
+            ++occupancy_;
+    }
 
     /**
      * Index produced by hash function HF_length: the running path sum
@@ -217,6 +256,13 @@ class PathIndexBank
     void restore(const HistoryCheckpoint &checkpoint);
 
   private:
+    /**
+     * The historyStack part of observe(): snapshot the history on a
+     * call, restore it on a return. True when the record is consumed
+     * (a restoring return inserts nothing).
+     */
+    bool observeCallStack(const trace::BranchRecord &record);
+
     unsigned indexBits_;
     PathHistoryOptions options_;
     /**

@@ -16,8 +16,8 @@
  * TargetTable) with exactly four parts — which records it predicts,
  * predict an entry, train an entry, and whether a prediction is a hit
  * — and everything else is built once over the policy: PathPredictor
- * here, DynamicPathPredictor (core/dynamic_path.h) and the step-1
- * profiling tables (core/profiler.cc).
+ * here, DynamicPathPredictor (core/dynamic_path.h), and the step-1
+ * tables and step-2 loop of the profiler (core/profiler.cc).
  */
 
 #ifndef VLPSIM_CORE_PATH_PREDICTOR_H

@@ -17,6 +17,7 @@
 #endif
 
 #include "core/path_predictor.h"
+#include "util/flat_pc_map.h"
 #include "util/logging.h"
 #include "util/packed_counter_table.h"
 #include "util/thread_pool.h"
@@ -175,8 +176,7 @@ struct ShardResult
  * private table of @p Table entries, packed back to back in one table
  * (4 KiB per 14-bit conditional table, so even the full 32-length
  * bank stays L2-resident). Length L's segment is exactly the table of
- * the fixed length path predictor PathPredictor<Table>(k, L) — the
- * step-2 Predictor below over one shared table.
+ * the fixed length path predictor PathPredictor<Table>(k, L).
  *
  * accessAll() predicts, updates, and tallies every shard length for
  * one dynamic branch. On x86-64 hosts with AVX-512 the conditional
@@ -189,9 +189,6 @@ template <typename Table>
 class Step1Tables
 {
   public:
-    /** The step-2 predictor for this branch class. */
-    using Predictor = PathPredictor<Table>;
-
     Step1Tables(unsigned index_bits, unsigned lengths)
         : indexBits_(index_bits),
           table_(std::size_t{lengths} << index_bits)
@@ -524,6 +521,14 @@ runStep1Sharded(trace::TraceSource &profile_trace,
  * Step 2 over @p profile_trace: each iteration replays the trace with
  * a variable length path predictor built from the selector's next
  * assignment and records the per-branch misses.
+ *
+ * The predictor is PathPredictor<Table> taken apart — one
+ * PathIndexBank and one Table — so a covered record costs a single
+ * probe of a flat pc -> dense id table; the per-iteration lengths and
+ * miss counts are plain arrays indexed by that id. A covered pc
+ * without an id (impossible when step 1 ran on the same trace) takes
+ * the spare id past the end: the default length, and its misses are
+ * dropped, as recordResults() would ignore them.
  */
 template <typename Table>
 HashAssignment
@@ -535,29 +540,52 @@ runStep2Iterations(trace::TraceSource &profile_trace,
 {
     CandidateSelector selector(profiles, sweep, options.candidates,
                                options.maxLength);
+    const PathHistoryOptions history = historyFor(options);
 
-    // One miss map reused across iterations, sized for the worst case
-    // (every profiled branch mispredicts at least once), so the hot
-    // counting loop never rehashes or reallocates.
-    std::unordered_map<std::uint64_t, std::uint64_t> misses;
-    misses.reserve(profiles.size());
+    util::FlatPcMap<std::uint32_t> ids;
+    std::vector<std::uint64_t> pcs;
+    pcs.reserve(profiles.size());
+    for (const auto &[pc, profile] : profiles) {
+        (void)profile;
+        ids.assign(pc, static_cast<std::uint32_t>(pcs.size()));
+        pcs.push_back(pc);
+    }
+    const auto spare = static_cast<std::uint32_t>(pcs.size());
+    std::vector<unsigned> lengths(pcs.size() + 1);
+    std::vector<std::uint64_t> misses(pcs.size() + 1);
+    std::unordered_map<std::uint64_t, std::uint64_t> results;
+    results.reserve(pcs.size());
+
     for (unsigned iteration = 0; iteration < options.iterations;
          ++iteration) {
         const HashAssignment assignment = selector.nextAssignment();
-        typename Step1Tables<Table>::Predictor predictor(
-            options.indexBits, assignment, historyFor(options));
-        misses.clear();
+        // The clamp PathPredictor applies to lengths past the bank.
+        for (std::uint32_t id = 0; id < spare; ++id)
+            lengths[id] =
+                std::min(assignment.lookup(pcs[id]), history.depth);
+        lengths[spare] = std::min(assignment.defaultLength(), history.depth);
+        std::fill(misses.begin(), misses.end(), 0);
 
+        PathIndexBank bank(options.indexBits, history);
+        Table table(std::size_t{1} << options.indexBits);
         trace::forEachRecord(
             profile_trace, [&](const trace::BranchRecord &record) {
                 if (Table::covers(record)) {
-                    if (!Table::hit(predictor.predict(record), record))
-                        ++misses[record.pc];
-                    predictor.update(record);
+                    const std::uint32_t id = ids.get(record.pc, spare);
+                    const auto entry =
+                        static_cast<std::size_t>(bank.index(lengths[id]));
+                    const bool hit =
+                        Table::hit(table.predict(entry, record), record);
+                    table.train(entry, record);
+                    misses[id] += !hit;
                 }
-                predictor.observe(record);
+                bank.observe(record);
             });
-        selector.recordResults(assignment, misses);
+
+        results.clear();
+        for (std::uint32_t id = 0; id < spare; ++id)
+            results.emplace(pcs[id], misses[id]);
+        selector.recordResults(assignment, results);
     }
     return selector.finalAssignment();
 }

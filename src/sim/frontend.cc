@@ -243,8 +243,7 @@ FetchEngine::advanceHistory(pred::Predictor &predictor,
 void
 FetchEngine::run(trace::TraceSource &source)
 {
-    trace::BranchRecord record;
-    while (source.next(record)) {
+    trace::forEachRecord(source, [this](const trace::BranchRecord &record) {
         if (record.isConditional()) {
             for (ConditionalSlot &slot : conditional_)
                 predictConditional(slot, record);
@@ -286,7 +285,7 @@ FetchEngine::run(trace::TraceSource &source)
                 indirectWrongPath(record, slot.lastPrediction),
                 slot.timing, slot.chaosKey);
         }
-    }
+    });
 
     for (ConditionalSlot &slot : conditional_)
         closeBundle(slot);

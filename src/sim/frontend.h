@@ -142,7 +142,10 @@ class FetchEngine
         std::function<unsigned(const trace::BranchRecord &)>
             actual_number);
 
-    /** Consume @p source from its current position to exhaustion. */
+    /**
+     * Replay every record of @p source, first to last, whatever its
+     * current position (trace::forEachRecord(), as Simulator::run).
+     */
     void run(trace::TraceSource &source);
 
     /** Accuracy results, bit-identical to Simulator's. */

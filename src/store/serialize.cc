@@ -203,10 +203,11 @@ encodeAssignment(const core::HashAssignment &assignment)
 {
     Encoder encoder;
     encoder.u32(assignment.defaultLength());
-    encoder.u64(assignment.table().size());
-    for (const std::uint64_t pc : sortedPcs(assignment.table())) {
+    const auto entries = assignment.entries();
+    encoder.u64(entries.size());
+    for (const auto &[pc, length] : entries) {
         encoder.u64(pc);
-        encoder.u32(assignment.table().at(pc));
+        encoder.u32(length);
     }
     return encoder.take();
 }

@@ -5,7 +5,10 @@
  */
 
 #include <cstdio>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <map>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -16,6 +19,7 @@
 #include "core/path_history.h"
 #include "core/path_predictor.h"
 #include "util/bits.h"
+#include "util/flat_pc_map.h"
 #include "util/rng.h"
 
 namespace {
@@ -339,6 +343,103 @@ TEST(HashAssignment, SaveReportsWriteFailure)
     HashAssignment assignment(5);
     assignment.assign(0x400000, 3);
     EXPECT_THROW(assignment.save("/dev/full"), std::runtime_error);
+}
+
+TEST(HashAssignment, AgreesWithOrderedMapUnderRandomOperations)
+{
+    // Keys mix pc 0, pcs equal modulo 2^k for every table capacity,
+    // word-aligned code addresses and arbitrary 64-bit values; the
+    // random walk overwrites keys and grows the flat table through
+    // several rehashes (16 slots up to 8192).
+    util::Rng rng(2024);
+    std::vector<std::uint64_t> keys = {0, ~std::uint64_t{0}};
+    for (std::uint64_t i = 1; i <= 64; ++i)
+        keys.push_back(i << 24);
+    for (int i = 0; i < 1500; ++i)
+        keys.push_back(0x400000 + (rng.nextBelow(1 << 16) << 2));
+    for (int i = 0; i < 1500; ++i)
+        keys.push_back(rng.next());
+
+    HashAssignment assignment(3);
+    std::map<std::uint64_t, unsigned> reference;
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t pc = keys[rng.nextBelow(keys.size())];
+        if (rng.nextBelow(2) == 0) {
+            const auto length =
+                static_cast<unsigned>(1 + rng.nextBelow(maxPathLength));
+            assignment.assign(pc, length);
+            reference[pc] = length;
+        }
+        const auto it = reference.find(pc);
+        ASSERT_EQ(assignment.contains(pc), it != reference.end());
+        ASSERT_EQ(assignment.lookup(pc),
+                  it == reference.end() ? 3u : it->second);
+        ASSERT_EQ(assignment.size(), reference.size());
+    }
+    EXPECT_GT(reference.size(), 2048u);
+    const std::vector<std::pair<std::uint64_t, unsigned>> expected(
+        reference.begin(), reference.end());
+    EXPECT_EQ(assignment.entries(), expected);
+    for (const std::uint64_t pc : keys) {
+        const auto it = reference.find(pc);
+        EXPECT_EQ(assignment.lookup(pc),
+                  it == reference.end() ? 3u : it->second);
+    }
+}
+
+TEST(HashAssignment, EmptyTableFindsNothing)
+{
+    const util::FlatPcMap<std::uint32_t> empty;
+    EXPECT_EQ(empty.find(0), nullptr);
+    EXPECT_EQ(empty.get(0x400000, 7u), 7u);
+    EXPECT_TRUE(empty.entries().empty());
+    const HashAssignment assignment(9);
+    EXPECT_FALSE(assignment.contains(0));
+    EXPECT_EQ(assignment.lookup(0), 9u);
+}
+
+TEST(HashAssignment, SaveIsIndependentOfInsertionOrder)
+{
+    std::vector<std::pair<std::uint64_t, unsigned>> pairs;
+    for (unsigned i = 0; i < 300; ++i)
+        pairs.emplace_back(0x400000 + 0x1234 * std::uint64_t{i} % 0x9000,
+                           1 + i % maxPathLength);
+    pairs.emplace_back(0, 4);
+    HashAssignment forward(6), backward(6);
+    for (const auto &[pc, length] : pairs)
+        forward.assign(pc, length);
+    for (auto it = pairs.rbegin(); it != pairs.rend(); ++it)
+        backward.assign(it->first, it->second);
+
+    const auto saved = [](const HashAssignment &assignment,
+                          const std::string &name) {
+        const std::string path = testing::TempDir() + "/" + name;
+        assignment.save(path);
+        std::ifstream file(path);
+        std::stringstream text;
+        text << file.rdbuf();
+        std::remove(path.c_str());
+        return text.str();
+    };
+    const std::string a = saved(forward, "forward.txt");
+    const std::string b = saved(backward, "backward.txt");
+    EXPECT_EQ(a, b);
+
+    std::istringstream lines(a);
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, "default 6");
+    std::uint64_t previous = 0;
+    std::size_t count = 0;
+    while (std::getline(lines, line)) {
+        const std::uint64_t pc = std::stoull(line, nullptr, 16);
+        if (count > 0) {
+            EXPECT_LT(previous, pc) << line;
+        }
+        previous = pc;
+        ++count;
+    }
+    EXPECT_EQ(count, forward.size());
 }
 
 // --- FLP / VLP predictors ---------------------------------------------

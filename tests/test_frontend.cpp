@@ -236,6 +236,51 @@ TEST(FrontendEquivalence, AllWorkloadsBothModesAndJobCounts)
     }
 }
 
+TEST(FrontendEquivalence, RunReplaysFromTheFirstRecord)
+{
+    // FetchEngine::run, like Simulator::run, replays the whole trace
+    // whatever the source's position: a part-consumed source gives the
+    // same results as a fresh one.
+    util::Rng rng(17);
+    trace::VectorTraceSource trace;
+    for (int i = 0; i < 4000; ++i)
+        trace.append(randomRecord(rng));
+    const core::HashAssignment assignment = syntheticAssignment(trace);
+
+    const auto engine_signature = [&](trace::VectorTraceSource &source) {
+        Rig rig(assignment);
+        sim::FetchEngine engine;
+        engine.addConditional(&rig.gshare);
+        engine.addConditional(&rig.flp);
+        engine.addConditional(&rig.vlp);
+        engine.addIndirect(&rig.indirect);
+        engine.run(source);
+        return signatureOf(engine.conditionalResults(),
+                           engine.indirectResults(), engine.rasResult());
+    };
+
+    Rig rig(assignment);
+    sim::Simulator simulator;
+    simulator.addConditional(&rig.gshare);
+    simulator.addConditional(&rig.flp);
+    simulator.addConditional(&rig.vlp);
+    simulator.addIndirect(&rig.indirect);
+    simulator.run(trace);
+    const Signature expected = signatureOf(simulator.conditionalResults(),
+                                           simulator.indirectResults(),
+                                           simulator.rasResult());
+
+    trace.reset();
+    const Signature fresh = engine_signature(trace);
+    trace.reset();
+    BranchRecord skipped;
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_TRUE(trace.next(skipped));
+    const Signature part_consumed = engine_signature(trace);
+    EXPECT_EQ(fresh, expected);
+    EXPECT_EQ(part_consumed, expected);
+}
+
 // ---------------------------------------------------------------------
 // Checkpoint/restore round trips.
 // ---------------------------------------------------------------------

@@ -260,7 +260,7 @@ TEST_F(ParallelHarness, Step1ShardingAssignmentIdenticalAcrossJobs)
 
     EXPECT_EQ(sharded_assignment.defaultLength(),
               serial_assignment.defaultLength());
-    ASSERT_EQ(sharded_assignment.table(), serial_assignment.table());
+    ASSERT_EQ(sharded_assignment.entries(), serial_assignment.entries());
 
     // The indirect profiler shares the sharded sweep machinery.
     core::Profiler indirect_serial(options, true);

@@ -9,6 +9,8 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 #include <gtest/gtest.h>
 
@@ -508,6 +510,101 @@ TEST(Step2Metamorphic, SingleCandidateKeepsTheStep1BestLength)
             ASSERT_TRUE(assignment.contains(pc)) << std::hex << pc;
             EXPECT_EQ(assignment.lookup(pc), step1BestLength(profile))
                 << std::hex << pc;
+        }
+    }
+}
+
+// --- Step 2 against the predictor it stands for ------------------------
+
+/**
+ * Step 2 as a PathPredictor<Table> replay: the reference the
+ * profiler's bank-plus-table loop must reproduce. Each iteration runs
+ * a fresh variable length path predictor over the selector's next
+ * assignment and records the per-branch misses.
+ */
+template <typename Table>
+HashAssignment
+referenceStep2(trace::TraceSource &trace, const Profiler &profiler)
+{
+    const ProfileOptions &options = profiler.options();
+    CandidateSelector selector(profiler.branchProfiles(),
+                               profiler.step1Sweep(), options.candidates,
+                               options.maxLength);
+    PathHistoryOptions history = options.history;
+    history.depth = options.maxLength;
+    std::unordered_map<std::uint64_t, std::uint64_t> misses;
+    for (unsigned iteration = 0; iteration < options.iterations;
+         ++iteration) {
+        const HashAssignment assignment = selector.nextAssignment();
+        PathPredictor<Table> predictor(options.indexBits, assignment,
+                                       history);
+        misses.clear();
+        trace::forEachRecord(trace, [&](const BranchRecord &record) {
+            if (Table::covers(record)) {
+                if (!Table::hit(predictor.predict(record), record))
+                    ++misses[record.pc];
+                predictor.update(record);
+            }
+            predictor.observe(record);
+        });
+        selector.recordResults(assignment, misses);
+    }
+    return selector.finalAssignment();
+}
+
+template <typename Table>
+void
+expectStep2MatchesReference(trace::TraceSource &trace,
+                            const ProfileOptions &options)
+{
+    Profiler profiler(options, std::is_same_v<Table, TargetTable>);
+    profiler.runStep1(trace);
+    ASSERT_FALSE(profiler.branchProfiles().empty());
+    const HashAssignment actual = profiler.runStep2(trace);
+    const HashAssignment expected = referenceStep2<Table>(trace, profiler);
+    EXPECT_EQ(actual.defaultLength(), expected.defaultLength());
+    EXPECT_EQ(actual.entries(), expected.entries());
+}
+
+TEST(Step2Metamorphic, Step2EqualsPathPredictorReplay)
+{
+    // Every history option and profiling parameter step 2 reads, on
+    // three benchmarks' profile inputs and both branch classes.
+    std::vector<std::pair<std::string, ProfileOptions>> configs;
+    ProfileOptions base;
+    base.indexBits = 10;
+    configs.emplace_back("default", base);
+    ProfileOptions option = base;
+    option.history.rotateTargets = false;
+    configs.emplace_back("no rotation", option);
+    option = base;
+    option.history.includeReturns = true;
+    configs.emplace_back("returns in THB", option);
+    option = base;
+    option.history.historyStack = true;
+    configs.emplace_back("history stack", option);
+    for (const unsigned candidates : {1u, 5u}) {
+        option = base;
+        option.candidates = candidates;
+        configs.emplace_back(std::to_string(candidates) + " candidates",
+                             option);
+    }
+    option = base;
+    option.iterations = 1;
+    configs.emplace_back("1 iteration", option);
+    option = base;
+    option.minLength = 4;
+    option.maxLength = 12;
+    configs.emplace_back("lengths 4..12", option);
+
+    for (const char *name : {"gcc", "perl", "li"}) {
+        auto trace = workload::generateTrace(
+            workload::findBenchmark(name), workload::InputKind::Profile,
+            0.05);
+        for (const auto &[label, options] : configs) {
+            SCOPED_TRACE(std::string(name) + ", " + label);
+            expectStep2MatchesReference<DirectionTable>(trace, options);
+            expectStep2MatchesReference<TargetTable>(trace, options);
         }
     }
 }
